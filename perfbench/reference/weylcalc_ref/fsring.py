@@ -1,0 +1,290 @@
+"""The formal-series ring: sharp products, change of quantization, cutoffs
+and resummation of truncated series to evaluable symbols."""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+from fractions import Fraction
+
+import numpy as np
+
+from .errors import InvalidInput, InvalidParameter
+from .qrat import QC, qc_ipow
+from .symalg import DerivCache, PhasePoint, Registry, SymExpr, multi_factorial, multi_indices
+
+DEFAULT_ORDER = 6
+DEFAULT_R = 4.0
+
+
+@dataclass
+class FormalSeries:
+    """Ordered truncation a_0 .. a_{N-1}; term j carries asymptotic order 2j."""
+
+    terms: list
+
+    def __post_init__(self):
+        if not self.terms:
+            raise InvalidInput("a formal series needs at least one term (N >= 1)")
+        reg = self.terms[0].reg
+        if any(t.reg is not reg for t in self.terms):
+            raise InvalidInput("series terms must share one registry")
+
+    @property
+    def reg(self) -> Registry:
+        return self.terms[0].reg
+
+    @property
+    def order(self) -> int:
+        return len(self.terms)
+
+    @property
+    def d(self) -> int:
+        return self.reg.d
+
+    def __getitem__(self, j: int) -> SymExpr:
+        return self.terms[j]
+
+    def __add__(self, other: "FormalSeries") -> "FormalSeries":
+        if self.order != other.order:
+            raise InvalidInput("termwise addition needs equal truncation")
+        return FormalSeries([a + b for a, b in zip(self.terms, other.terms)])
+
+    def __sub__(self, other: "FormalSeries") -> "FormalSeries":
+        if self.order != other.order:
+            raise InvalidInput("termwise addition needs equal truncation")
+        return FormalSeries([a - b for a, b in zip(self.terms, other.terms)])
+
+    def scale(self, c) -> "FormalSeries":
+        return FormalSeries([t.scale(c) for t in self.terms])
+
+    def __mul__(self, other):
+        # pointwise (non-sharp) product with a plain expression
+        if isinstance(other, SymExpr):
+            return FormalSeries([t * other for t in self.terms])
+        return self.scale(other)
+
+    def truncate(self, N: int) -> "FormalSeries":
+        if N < 1 or N > self.order:
+            raise InvalidInput("bad truncation length")
+        return FormalSeries(self.terms[:N])
+
+    def is_zero(self) -> bool:
+        return all(t.is_zero() for t in self.terms)
+
+    def is_zero_expanded(self) -> bool:
+        return all(t.is_zero_expanded() for t in self.terms)
+
+
+def canonical(a: SymExpr, N: int) -> FormalSeries:
+    """The canonical inclusion of a symbol: a_0 = a, a_j = 0 for 1 <= j < N."""
+    return FormalSeries([a] + [a.reg.zero() for _ in range(N - 1)])
+
+
+def unit_series(reg: Registry, N: int) -> FormalSeries:
+    return canonical(reg.one(), N)
+
+
+def sharp(A: FormalSeries, B: FormalSeries, N: int) -> FormalSeries:
+    """Sharp product: c_j = sum over s+k+l=j, |alpha+beta|=l of
+    (-1)^|beta| / (alpha! beta! 2^l) * d^alpha_xi D^beta_x a_s * d^beta_xi D^alpha_x b_k.
+    """
+    if A.reg is not B.reg:
+        raise InvalidInput("sharp product needs a common registry")
+    if A.d != B.d:
+        raise InvalidInput("dimension mismatch")
+    if N < 1:
+        raise InvalidParameter("order must be >= 1")
+    if A.order < N or B.order < N:
+        raise InvalidInput(
+            f"need at least {N} input terms on both factors (no implicit zero-padding)"
+        )
+    reg = A.reg
+    d = reg.d
+    a_cache = [DerivCache(A[s]) for s in range(N)]
+    b_cache = [DerivCache(B[k]) for k in range(N)]
+    out = []
+    for j in range(N):
+        cj = reg.zero()
+        for l in range(j + 1):
+            pow2 = Fraction(1, 2**l)
+            for gamma in multi_indices(2 * d, l):
+                alpha, beta = gamma[:d], gamma[d:]
+                # D^beta_x on the left factor, D^alpha_x on the right
+                scalar = (
+                    QC((-1) ** sum(beta))
+                    * qc_ipow(l)
+                    * QC(pow2 / (multi_factorial(alpha) * multi_factorial(beta)))
+                )
+                for s in range(j - l + 1):
+                    k = j - l - s
+                    left = a_cache[s].get(alpha, beta)
+                    if left.is_zero():
+                        continue
+                    right = b_cache[k].get(beta, alpha)
+                    if right.is_zero():
+                        continue
+                    cj = cj + (left * right).scale(scalar)
+        out.append(cj)
+    return FormalSeries(out)
+
+
+def sharp_power(A: FormalSeries, k: int, N: int) -> FormalSeries:
+    """Left-folded k-fold sharp power; k = 0 gives the unit series."""
+    if k < 0:
+        raise InvalidParameter("k must be non-negative")
+    if k == 0:
+        return unit_series(A.reg, N)
+    out = A.truncate(N) if A.order > N else A
+    for _ in range(k - 1):
+        out = sharp(out, A, N)
+    return out
+
+
+def change_quantization(A: FormalSeries, tau, tau1, N: int) -> FormalSeries:
+    """Requantization tau -> tau1:
+    p_j = sum over k + |beta| = j of (tau1-tau)^|beta| / beta! * d^beta_xi D^beta_x a_k.
+    """
+    if N < 1:
+        raise InvalidParameter("order must be >= 1")
+    if A.order < N:
+        raise InvalidInput("not enough input terms")
+    reg = A.reg
+    d = reg.d
+    delta = Fraction(tau1) - Fraction(tau)
+    caches = [DerivCache(A[k]) for k in range(N)]
+    out = []
+    for j in range(N):
+        pj = reg.zero()
+        for s in range(j + 1):
+            k = j - s
+            for beta in multi_indices(d, s):
+                scalar = (
+                    QC(delta ** sum(beta)) * qc_ipow(sum(beta)) * QC(Fraction(1, multi_factorial(beta)))
+                )
+                term = caches[k].get(beta, beta)
+                if term.is_zero():
+                    continue
+                pj = pj + term.scale(scalar)
+        out.append(pj)
+    return FormalSeries(out)
+
+
+# ---------------------------------------------------------------------------
+# cutoffs and resummation
+# ---------------------------------------------------------------------------
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+
+
+def _bump_integrand(s):
+    out = np.zeros_like(s)
+    inside = (s > 2.0) & (s < 3.0)
+    si = s[inside]
+    out[inside] = np.exp(-1.0 / ((3.0 - si) * (si - 2.0)))
+    return out
+
+
+_BUMP_NORM = float(
+    np.sum(_GL_WEIGHTS * _bump_integrand(2.5 + 0.5 * _GL_NODES)) * 0.5
+)
+
+
+def _psi_profile(u):
+    """Smooth profile: 1 for u <= 2, 0 for u >= 3, integrated bump between."""
+    u = np.asarray(u, dtype=float)
+    out = np.ones_like(u)
+    out[u >= 3.0] = 0.0
+    mid = (u > 2.0) & (u < 3.0)
+    if np.any(mid):
+        um = u[mid]
+        # integral of the bump from 2 to u, 64-node Gauss-Legendre on [2, u]
+        half = (um - 2.0) / 2.0
+        nodes = 2.0 + half[:, None] * (_GL_NODES[None, :] + 1.0)
+        vals = _bump_integrand(nodes)
+        integral = np.sum(vals * _GL_WEIGHTS[None, :], axis=1) * half
+        out[mid] = 1.0 - integral / _BUMP_NORM
+    return out
+
+
+@dataclass
+class CutoffConfig:
+    """Resummation cutoffs chi_{n,R}(w) = psi(x/(R m_n)) psi(xi/(R m_n)).
+
+    m_values are the ratios m_p = M_p / M_{p-1} of a weight sequence, with
+    the convention m_0 = 0 (chi_{0,R} is identically zero).  The shell radii
+    of the bump are fixed at 2 (inner) and 3 (outer) in the bracket <.>.
+    """
+
+    R: float = DEFAULT_R
+    m_values: list = field(default_factory=lambda: [0.0, 1.0])
+    bump_inner: float = 2.0
+    bump_outer: float = 3.0
+
+    def __post_init__(self):
+        if self.R <= 0:
+            raise InvalidParameter("R must be positive")
+        if self.m_values[0] != 0.0:
+            self.m_values = [0.0] + list(self.m_values)
+        body = self.m_values[1:]
+        if any(body[i] > body[i + 1] + 1e-12 for i in range(len(body) - 1)):
+            raise InvalidInput("m_values must be non-decreasing")
+
+    @classmethod
+    def from_weights(cls, ws, R: float = DEFAULT_R) -> "CutoffConfig":
+        return cls(R=R, m_values=[0.0] + ws.ratios())
+
+    def scale(self, n: int) -> float:
+        if n >= len(self.m_values):
+            raise InvalidParameter(f"m_values tabulated only to n = {len(self.m_values) - 1}")
+        return self.R * self.m_values[n]
+
+
+def _block_bracket(vs) -> float:
+    return math.sqrt(1.0 + sum(v * v for v in vs))
+
+
+def cutoff_chi(n: int, cfg: CutoffConfig, w: PhasePoint) -> float:
+    """chi_{n,R}(w) in [0, 1]; chi_0 is identically 0."""
+    if n < 0:
+        raise InvalidParameter("n must be >= 0")
+    if n == 0:
+        return 0.0
+    s = cfg.scale(n)
+    ux = _block_bracket([v / s for v in w.x])
+    uxi = _block_bracket([v / s for v in w.xi])
+    return float(_psi_profile(np.array([ux]))[0] * _psi_profile(np.array([uxi]))[0])
+
+
+def cutoff_chi_grid(n: int, cfg: CutoffConfig, x_arrays, xi_arrays):
+    """Vectorised chi_{n,R} over arrays of coordinates (lists per dimension)."""
+    if n == 0:
+        return np.zeros(np.broadcast(*x_arrays, *xi_arrays).shape)
+    s = cfg.scale(n)
+    ux = np.sqrt(1.0 + sum((np.asarray(v) / s) ** 2 for v in x_arrays))
+    uxi = np.sqrt(1.0 + sum((np.asarray(v) / s) ** 2 for v in xi_arrays))
+    return _psi_profile(ux) * _psi_profile(uxi)
+
+
+def resum_evaluate(A: FormalSeries, cfg: CutoffConfig, w: PhasePoint, strategy: str = "cutoff"):
+    """Evaluate the resummed series at w.
+
+    cutoff:        sum_j (1 - chi_{j,R}(w)) a_j(w)
+    smallest-term: sum the terms while |a_j(w)| strictly decreases and stop
+                   at the first upturn (classic first-minimum truncation).
+    """
+    env = w.env(A.reg)
+    vals = [t.evaluate_grid(env) for t in A.terms]
+    if strategy == "cutoff":
+        total = 0.0 + 0.0j
+        for j, v in enumerate(vals):
+            total += (1.0 - cutoff_chi(j, cfg, w)) * v
+        return complex(total)
+    if strategy == "smallest-term":
+        n_star = A.order
+        for j in range(1, A.order):
+            if abs(vals[j]) >= abs(vals[j - 1]):
+                n_star = j
+                break
+        return complex(sum(vals[:n_star]))
+    raise InvalidParameter(f"unknown strategy {strategy!r}")

@@ -1,0 +1,334 @@
+"""Hermite-basis Weyl quantization on the line (d = 1), exact for polynomial
+symbols, quadrature-based for general symbols, plus an eigendecomposition
+spectral oracle for operator functions."""
+
+from __future__ import annotations
+
+import math
+import warnings
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .errors import (
+    AccuracyWarning,
+    InvalidInput,
+    InvalidParameter,
+    NumericalFailure,
+    UnsupportedSymbol,
+)
+from .cpow import QuadratureScheme, gamma_k
+from .symalg import SymExpr
+
+HERMITICITY_TOL = 1e-10
+
+
+@dataclass
+class HermiteOperator:
+    """Dense complex matrix in the Hermite-function basis of L^2(R)."""
+
+    matrix: np.ndarray
+    n_pad: int
+    hermitian_flag: bool = False
+
+    def __post_init__(self):
+        m = np.asarray(self.matrix, dtype=complex)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise InvalidInput("matrix must be square")
+        self.matrix = m
+        if self.hermitian_flag:
+            dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+            if dev > HERMITICITY_TOL:
+                raise InvalidInput(f"hermitian_flag set but max |A - A*| = {dev:.2e}")
+
+    @property
+    def n_basis(self) -> int:
+        return self.matrix.shape[0]
+
+    @classmethod
+    def wrap(cls, matrix, n_pad=None) -> "HermiteOperator":
+        m = np.asarray(matrix, dtype=complex)
+        dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+        return cls(m, n_pad=n_pad if n_pad is not None else m.shape[0], hermitian_flag=dev <= HERMITICITY_TOL)
+
+
+@dataclass
+class SpectralReport:
+    """Per-state relative discrepancies of two operators on a state range."""
+
+    state_lo: int
+    state_hi: int
+    per_state: list = field(default_factory=list)
+    block_norm: float = 0.0
+    metadata: dict = field(default_factory=dict)
+
+    def as_dict(self) -> dict:
+        return {
+            "state_lo": self.state_lo,
+            "state_hi": self.state_hi,
+            "per_state": list(self.per_state),
+            "block_norm": self.block_norm,
+            "metadata": dict(self.metadata),
+        }
+
+    @property
+    def max_error(self) -> float:
+        return max(self.per_state) if self.per_state else 0.0
+
+    @property
+    def median_error(self) -> float:
+        if not self.per_state:
+            return 0.0
+        s = sorted(self.per_state)
+        return s[len(s) // 2]
+
+
+# ---------------------------------------------------------------------------
+# ladder matrices and polynomial quantization
+# ---------------------------------------------------------------------------
+
+
+def position_momentum(n: int):
+    """Dense X and P on the first n Hermite functions (harmonic-oscillator
+    convention: X^2 + P^2 = diag(2k+1), [X, P] = i)."""
+    X = np.zeros((n, n), dtype=complex)
+    P = np.zeros((n, n), dtype=complex)
+    for k in range(n - 1):
+        c = math.sqrt((k + 1) / 2.0)
+        X[k, k + 1] = X[k + 1, k] = c
+        P[k, k + 1] = -1j * c
+        P[k + 1, k] = 1j * c
+    return X, P
+
+
+def quantize_poly(sigma: SymExpr, n_basis: int, n_pad: int | None = None) -> HermiteOperator:
+    """Weyl quantization of a polynomial symbol in (x, xi), d = 1.
+
+    Each monomial x^m xi^n maps to the symmetric (Weyl) operator ordering,
+    computed by the binomial interleaving formula
+    2^-m sum_k C(m, k) X^k P^n X^(m-k) at padded dimension, then cropped."""
+    reg = sigma.reg
+    if reg.d != 1:
+        raise UnsupportedSymbol("Hermite quantization is implemented for d = 1")
+    ix, ixi = reg.var_index("x1"), reg.var_index("xi1")
+    monos = []
+    deg = 0
+    for (mono, powers, expf), c in sigma.terms.items():
+        if powers or expf:
+            raise UnsupportedSymbol("polynomial path: no base powers or exp atoms")
+        if any(e and i not in (ix, ixi) for i, e in enumerate(mono)):
+            raise UnsupportedSymbol("polynomial path: only x and xi may appear")
+        m, n = mono[ix], mono[ixi]
+        deg = max(deg, m + n)
+        monos.append((m, n, complex(c)))
+    if deg > 10:
+        raise UnsupportedSymbol("polynomial degree capped at 10")
+    if n_pad is None:
+        n_pad = n_basis + 2 * deg
+    if n_pad < n_basis + 2 * deg:
+        raise InvalidParameter("n_pad must be at least n_basis + 2 * degree")
+    X, P = position_momentum(n_pad)
+    x_pows = [np.eye(n_pad, dtype=complex)]
+    for _ in range(deg):
+        x_pows.append(x_pows[-1] @ X)
+    p_pows = [np.eye(n_pad, dtype=complex)]
+    for _ in range(deg):
+        p_pows.append(p_pows[-1] @ P)
+    A = np.zeros((n_pad, n_pad), dtype=complex)
+    for m, n, c in monos:
+        term = np.zeros((n_pad, n_pad), dtype=complex)
+        for k in range(m + 1):
+            term += math.comb(m, k) * (x_pows[k] @ p_pows[n] @ x_pows[m - k])
+        A += (c / 2**m) * term
+    crop = A[:n_basis, :n_basis]
+    dev = float(np.max(np.abs(crop - crop.conj().T)))
+    return HermiteOperator(crop, n_pad=n_pad, hermitian_flag=dev <= HERMITICITY_TOL)
+
+
+def interior_indices(op: HermiteOperator, degree: int) -> range:
+    """Indices unaffected by the padding crop for a degree-g polynomial."""
+    return range(0, max(0, op.n_basis - 2 * degree))
+
+
+# ---------------------------------------------------------------------------
+# cross-Wigner (Laguerre closed form) quantization of general symbols
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PolarGrid:
+    """Product quadrature grid in polar phase-space coordinates."""
+
+    n_r: int
+    n_theta: int
+    r_max: float
+
+    @classmethod
+    def for_basis(cls, n_basis: int) -> "PolarGrid":
+        return cls(n_r=4 * n_basis, n_theta=4 * n_basis, r_max=math.sqrt(2.0 * n_basis) + 8.0)
+
+    def nodes(self):
+        gl_x, gl_w = np.polynomial.legendre.leggauss(self.n_r)
+        r = 0.5 * self.r_max * (gl_x + 1.0)
+        wr = 0.5 * self.r_max * gl_w
+        theta = 2.0 * math.pi * np.arange(self.n_theta) / self.n_theta
+        return r, wr, theta
+
+
+def _laguerre_table(n_max: int, q: int, s: np.ndarray) -> np.ndarray:
+    """L_n^(q)(s) for n = 0..n_max, via the three-term recurrence."""
+    out = np.empty((n_max + 1, s.size))
+    out[0] = 1.0
+    if n_max >= 1:
+        out[1] = 1.0 + q - s
+    for n in range(1, n_max):
+        out[n + 1] = ((2 * n + 1 + q - s) * out[n] - (n + q) * out[n - 1]) / (n + 1)
+    return out
+
+
+def quantize_general(
+    sigma_eval,
+    n_basis: int,
+    grid: PolarGrid | None = None,
+) -> HermiteOperator:
+    """Weyl quantization of a general symbol via the cross-Wigner pairing.
+
+    A[m, n] = integral of sigma(x, xi) W_{n,m}(x, xi) dx dxi, with the
+    cross-Wigner functions in their Laguerre closed form on a polar product
+    grid: the angular integral reduces to Fourier modes of the symbol and
+    the radial integral is Gauss-Legendre.  sigma_eval is a callable
+    sigma_eval(X, XI) -> complex array (vectorised).
+    """
+    grid = grid or PolarGrid.for_basis(n_basis)
+    r, wr, theta = grid.nodes()
+    R, TH = np.meshgrid(r, theta, indexing="ij")
+    Xv = R * np.cos(TH)
+    XIv = R * np.sin(TH)
+    vals = np.asarray(sigma_eval(Xv, XIv), dtype=complex)
+    if vals.shape != Xv.shape:
+        vals = np.broadcast_to(vals, Xv.shape).copy()
+    # angular modes: F[:, q] = integral sigma e^{-i q theta} d theta
+    F = np.fft.fft(vals, axis=1) * (2.0 * math.pi / grid.n_theta)
+
+    two_r2 = 2.0 * R[:, 0] ** 2
+    log_r = np.log(np.maximum(r, 1e-300))
+    A = np.zeros((n_basis, n_basis), dtype=complex)
+    tail_flag = False
+    for q in range(n_basis):
+        n_top = n_basis - 1 - q
+        lag = _laguerre_table(n_top, q, two_r2) if q else _laguerre_table(n_basis - 1, 0, two_r2)
+        # mode for e^{+i q theta} is F[:, -q]; for e^{-i q theta} it's F[:, +q]
+        mode_plus = F[:, (-q) % grid.n_theta]
+        mode_minus = F[:, q % grid.n_theta]
+        for n in range(0, n_basis - q):
+            m = n + q
+            logpref = (
+                0.5 * (math.lgamma(n + 1) - math.lgamma(m + 1))
+                + q * (0.5 * math.log(2.0) + log_r)
+                - r**2
+            )
+            rad = ((-1.0) ** n / math.pi) * np.exp(logpref) * lag[n]
+            wrad = wr * r * rad
+            # W_{n,m} carries e^{+i q theta}; W_{m,n} is its conjugate
+            A[m, n] = np.sum(wrad * mode_plus)
+            if q:
+                A[n, m] = np.sum(wrad * mode_minus)
+            if not tail_flag:
+                envelope = np.abs(wrad)
+                if envelope[-1] > 1e-8 * max(float(np.max(envelope)), 1e-300):
+                    tail_flag = True
+    if tail_flag:
+        warnings.warn(
+            "polar quadrature window may be too small for this symbol",
+            AccuracyWarning,
+            stacklevel=2,
+        )
+    dev = float(np.max(np.abs(A - A.conj().T)))
+    return HermiteOperator(A, n_pad=n_basis, hermitian_flag=dev <= HERMITICITY_TOL)
+
+
+# ---------------------------------------------------------------------------
+# spectral oracle and the Balakrishnan operator integral
+# ---------------------------------------------------------------------------
+
+
+def matrix_function(op: HermiteOperator, f) -> HermiteOperator:
+    """f(A) by eigendecomposition; requires a hermitian operator."""
+    if not op.hermitian_flag:
+        raise InvalidInput("matrix_function requires a hermitian operator")
+    try:
+        w, V = np.linalg.eigh(op.matrix)
+    except np.linalg.LinAlgError as e:  # pragma: no cover
+        raise NumericalFailure(f"eigendecomposition failed: {e}") from e
+    fw = np.asarray([f(val) for val in w], dtype=complex)
+    M = (V * fw[None, :]) @ V.conj().T
+    dev = float(np.max(np.abs(M - M.conj().T)))
+    return HermiteOperator(M, n_pad=op.n_pad, hermitian_flag=dev <= HERMITICITY_TOL)
+
+
+def balakrishnan_matrix(
+    op: HermiteOperator,
+    z: complex,
+    k: int,
+    quad: QuadratureScheme | None = None,
+) -> HermiteOperator:
+    """gamma_k(z) * integral lambda^(z-1) (A (A + lambda)^-1)^k d lambda by
+    resolvent solves at the half-line quadrature nodes (trapezoid on
+    ln lambda at the finest refinement level, with the same endpoint
+    corrections as the scalar quadrature)."""
+    z = complex(z)
+    if not op.hermitian_flag:
+        raise InvalidInput("balakrishnan_matrix requires a hermitian operator")
+    if not (k > z.real > 0):
+        raise InvalidParameter("need 0 < Re z < k")
+    A = op.matrix
+    n = A.shape[0]
+    eigs = np.linalg.eigvalsh(A)
+    if eigs.min() <= 0:
+        raise NumericalFailure("operator is not positive definite on its truncation")
+    quad = quad or QuadratureScheme()
+    u, lam, w = quad.nodes(quad.refine)
+    total = np.zeros((n, n), dtype=complex)
+    eye = np.eye(n)
+    first = last = None
+    for i in range(lam.size):
+        try:
+            R = np.linalg.solve(A + lam[i] * eye, A)
+        except np.linalg.LinAlgError as e:
+            raise NumericalFailure(f"singular resolvent at lambda={lam[i]:.3e}") from e
+        Rk = R
+        for _ in range(k - 1):
+            Rk = Rk @ R
+        if i == 0:
+            first = Rk
+        if i == lam.size - 1:
+            last = Rk
+        total += (w[i] * np.exp(z * u[i])) * Rk
+    # endpoint corrections, as in quad_halfline: the integrand tends to the
+    # identity-like block at 0 and decays like lambda^-k at infinity
+    total += first * (np.exp(z * u[0]) / z)
+    total += last * (np.exp(z * u[-1]) / (k - z))
+    M = gamma_k(z, k) * total
+    dev = float(np.max(np.abs(M - M.conj().T)))
+    return HermiteOperator(M, n_pad=op.n_pad, hermitian_flag=dev <= HERMITICITY_TOL)
+
+
+def spectral_compare(A: HermiteOperator, B: HermiteOperator, state_range) -> SpectralReport:
+    """Per-state relative errors ||(A - B) e_n|| / ||A e_n|| over a range of
+    basis states, plus the operator-norm discrepancy on the compared block."""
+    if A.n_basis != B.n_basis:
+        raise InvalidInput("operators must share n_basis")
+    lo, hi = state_range
+    if not (0 <= lo <= hi < A.n_basis):
+        raise InvalidInput("state range outside the basis")
+    errors = []
+    for nst in range(lo, hi + 1):
+        col_a = A.matrix[:, nst]
+        col_b = B.matrix[:, nst]
+        denom = float(np.linalg.norm(col_a))
+        errors.append(float(np.linalg.norm(col_a - col_b)) / max(denom, 1e-300))
+    blk = slice(lo, hi + 1)
+    sub = A.matrix[blk, blk] - B.matrix[blk, blk]
+    denom = float(np.linalg.norm(A.matrix[blk, blk], 2))
+    block = float(np.linalg.norm(sub, 2)) / max(denom, 1e-300)
+    return SpectralReport(state_lo=lo, state_hi=hi, per_state=errors, block_norm=block)
