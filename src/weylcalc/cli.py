@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import WeylcalcError
+from .errors import InvalidInput, WeylcalcError
 from .fsring import CutoffConfig, change_quantization, sharp
 from .cpow import PowerEvaluator, QuadratureScheme, power_coefficient, power_series_eval_grid
 from .heat import heat_evaluate_grid, heat_terms
@@ -319,8 +319,7 @@ def run_validate_power(
 
     shifted = HermiteOperator.wrap(H.matrix + np.eye(basis))
     ref = matrix_function(shifted, lambda v: complex(v) ** z)
-    scheme = QuadratureScheme(u_min=-34.0, u_max=34.0, step=0.1, refine=1)
-    ev = PowerEvaluator(a0, z, order=order, k=max(int(math.floor(z.real)) + 1, 1), quad=scheme)
+    ev = PowerEvaluator(a0, z, order=order, k=max(int(math.floor(z.real)) + 1, 1))
     ws = make_gevrey(1.0, 40)
     cfg = CutoffConfig.from_weights(ws, R=cutoff_r)
     lo, hi = _state_window(basis)
@@ -420,7 +419,8 @@ def cmd_validate_sqrt(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple:
+    """The top-level parser and its subcommand parsers by name."""
     p = argparse.ArgumentParser(prog="weylcalc", description=__doc__)
     p.add_argument("--config", help="JSON file pre-setting flag defaults")
     p.add_argument("--seed", type=int, default=7, help="seed for random grids")
@@ -514,19 +514,55 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_validate_sqrt)
 
-    return p
+    return p, sub.choices
+
+
+# config keys that belong to the top-level parser; the rest go to the
+# chosen subcommand
+_GLOBAL_KEYS = ("seed",)
+
+
+def _load_config(path: str, args: argparse.Namespace) -> dict:
+    """The config file as flag defaults for the parsed command.
+
+    Keys are flag names (dashes or underscores) of the top-level parser or
+    of the chosen subcommand; values are JSON scalars.  Numbers and strings
+    are handed to argparse as strings, so each flag's own type check
+    applies to them."""
+    try:
+        config = json.loads(Path(path).read_text())
+    except (OSError, UnicodeDecodeError, ValueError) as e:
+        raise InvalidInput(f"cannot read config file {path}: {e}") from None
+    if not isinstance(config, dict):
+        raise InvalidInput("config file must hold a JSON object")
+    config = {k.replace("-", "_"): v for k, v in config.items()}
+    allowed = set(vars(args)) - {"func", "config", "command"}
+    unknown = sorted(set(config) - allowed)
+    if unknown:
+        raise InvalidInput(f"unknown config keys for {args.command}: {', '.join(unknown)}")
+    for k, v in config.items():
+        if isinstance(v, (list, dict)):
+            raise InvalidInput(f"config value for {k} must be a scalar")
+        if isinstance(v, (int, float)) and not isinstance(v, bool):
+            config[k] = str(v)
+    return config
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
     args = parser.parse_args(argv)
-    if args.config:
-        defaults = json.loads(Path(args.config).read_text())
-        for k, v in defaults.items():
-            k = k.replace("-", "_")
-            if getattr(args, k, None) is None:
-                setattr(args, k, v)
     try:
+        if args.config:
+            config = _load_config(args.config, args)
+            sub = commands[args.command]
+            parser.set_defaults(**{k: v for k, v in config.items() if k in _GLOBAL_KEYS})
+            sub.set_defaults(**{k: v for k, v in config.items() if k not in _GLOBAL_KEYS})
+            # argv parsed once already, so a failure now is a config value
+            parser.exit_on_error = sub.exit_on_error = False
+            try:
+                args = parser.parse_args(argv)
+            except argparse.ArgumentError as e:
+                raise InvalidInput(f"config value rejected: {e}") from None
         return args.func(args)
     except WeylcalcError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)

@@ -121,6 +121,19 @@ class QuadResult:
         return complex(self.value)
 
 
+def _romberg(values: list) -> list:
+    """Romberg table over trapezoid sums at successively halved steps
+    (h^2 expansion): column m holds the m-times extrapolated values, and the
+    last column's single entry is the best estimate.  The entries may be
+    scalars or arrays."""
+    table = [values]
+    for m in range(1, len(values)):
+        prev = table[-1]
+        fac = 4.0**m
+        table.append([(fac * prev[i + 1] - prev[i]) / (fac - 1.0) for i in range(len(prev) - 1)])
+    return table
+
+
 def quad_halfline(f, z: complex, quad: QuadratureScheme | None = None) -> QuadResult:
     """Approximate integral over (0, inf) of lambda^(z-1) f(lambda) d lambda.
 
@@ -161,12 +174,7 @@ def quad_halfline(f, z: complex, quad: QuadratureScheme | None = None) -> QuadRe
                     tail_corr += -fv[-1] * np.exp(z * u[-1]) / (z + s)
                 elif np.max(tail) > 1e-13 * head:
                     warning = True
-    # Romberg table over the halving levels (h^2 expansion)
-    table = [values]
-    for m in range(1, len(values)):
-        prev = table[-1]
-        fac = 4.0**m
-        table.append([(fac * prev[i + 1] - prev[i]) / (fac - 1.0) for i in range(len(prev) - 1)])
+    table = _romberg(values)
     value = complex(table[-1][-1] + tail_corr)
     if len(values) > 1:
         err = float(abs(table[-1][-1] - table[-2][-1]))
@@ -327,43 +335,30 @@ def power_series_eval(
 
 
 def power_series_eval_grid(ev: PowerEvaluator, N: int, env: dict, cfg: CutoffConfig):
-    """Vectorised resummed evaluation over coordinate arrays.
+    """Vectorised resummed evaluation sum_{j<N} (1 - chi_{j,R}) p_{z,j} over
+    coordinate arrays, with the lambda integral in closed form.
 
-    Same trapezoid nodes as power_coefficient; the lambda integral is
-    accumulated node by node with the base reciprocal powers shared across
-    terms, which makes symbol evaluation on quantization grids feasible."""
+    Every term of g_j has the form c * mono(w) * a0^p * (a0 + lambda)^(-m)
+    * lambda^s, and for 0 < Re(z + s) < m
+
+        integral lambda^(z+s-1) (a0 + lambda)^(-m) d lambda
+            = a0^(z+s-m) B(z + s, m - z - s)
+
+    (Gradshteyn-Ryzhik 3.194.3), so p_{z,j} is a finite sum of monomials
+    times powers of a0.  A term of any other form, or outside that strip,
+    raises UnsupportedSymbol.  power_coefficient integrates the same terms
+    by quadrature and serves as the independent check."""
     reg = ev.a0.reg
     if N > ev.order:
         raise InvalidParameter("N exceeds the precomputed order")
-    u, lam_nodes, wq = ev.quad.nodes(ev.quad.refine)
-    lam_w = wq * np.exp(ev.z * u)
-
-    # decompose every g_j term as mono(w) * a0^p * alam^q * lam^s
+    z = ev.z
     bp_a0 = ev.a0.single_base_power()[1]
-    name_lam = None
     lam_idx = reg.var_index(ev.lam)
-    decomp = []  # per j: list of (coeff, mono_no_lam, p_a0, q_alam, s_lam)
-    for j in range(N):
-        rows = []
-        for (mono, powers, expf), c in ev.g_term(j).terms.items():
-            if expf:
-                raise UnsupportedSymbol("unexpected exponential atom in power series")
-            p_a0 = Fraction(0)
-            q_alam = Fraction(0)
-            for nm, r in powers:
-                if nm == bp_a0:
-                    p_a0 = r
-                else:
-                    if name_lam is None:
-                        name_lam = nm
-                    if nm != name_lam:
-                        raise UnsupportedSymbol("unexpected base in resolvent series")
-                    q_alam = r
-            rows.append((complex(c), mono, p_a0, q_alam, mono[lam_idx]))
-        decomp.append(rows)
-
-    # w-dependent factors
     a0_val = _base_value(reg, bp_a0, env)
+    # a0^z once (a real power when z is real), times real powers a0^(p+s-m)
+    a0_z = a0_val ** (z.real if z.imag == 0 else z)
+    beta: dict = {}  # (m, s) -> B(z + s, m - z - s)
+    a0_pow: dict = {}  # p + s - m -> a0^(z + p + s - m)
     mono_cache: dict = {}
 
     def mono_val(mono):
@@ -377,44 +372,45 @@ def power_series_eval_grid(ev: PowerEvaluator, N: int, env: dict, cfg: CutoffCon
             mono_cache[key] = v
         return v
 
-    # distinct (q) exponents needed per lambda node
-    q_set = sorted(
-        {int(q) for rows in decomp for (_, _, _, q, _) in rows if q.denominator == 1}
-    )
-    if any(q.denominator != 1 for rows in decomp for (_, _, _, q, _) in rows):
-        raise UnsupportedSymbol("resolvent exponents must be integers")
-
-    # accumulate F_{q,s} = sum_nodes lam_w * lam^s * (a0 + lam)^q
-    fq: dict = {}
-    needed = sorted({(int(q), int(s)) for rows in decomp for (_, _, _, q, s) in rows})
-    for i in range(lam_nodes.size):
-        lam_i = lam_nodes[i]
-        alam = a0_val + lam_i
-        rec = 1.0 / alam
-        pows = {0: 1.0}
-        for qv in q_set:
-            if qv not in pows:
-                p = 1.0
-                src = rec if qv < 0 else alam
-                for _ in range(abs(qv)):
-                    p = p * src
-                pows[qv] = p
-        for (qv, sv) in needed:
-            contrib = lam_w[i] * (lam_i**sv) * pows[qv]
-            acc = fq.get((qv, sv))
-            fq[(qv, sv)] = contrib if acc is None else acc + contrib
-
+    name_lam = None
     out = 0.0 + 0.0j
     for j in range(N):
+        terms = ev.g_term(j).terms
+        if not terms:
+            continue  # p_{z,j} = 0 (j = 1 for a function of a0 alone): nothing to damp
         pj = 0.0 + 0.0j
-        for coeff, mono, p_a0, q_alam, s in decomp[j]:
-            val = coeff * mono_val(mono) * fq[(int(q_alam), int(s))]
-            if p_a0:
-                val = val * a0_val ** float(p_a0)
-            pj = pj + val
-        pj = pj * ev.gamma
+        for (mono, powers, expf), c in terms.items():
+            if expf:
+                raise UnsupportedSymbol("unexpected exponential atom in power series")
+            p_a0 = Fraction(0)
+            q_alam = Fraction(0)
+            for nm, r in powers:
+                if nm == bp_a0:
+                    p_a0 = r
+                else:
+                    if name_lam is None:
+                        name_lam = nm
+                    if nm != name_lam:
+                        raise UnsupportedSymbol("unexpected base in resolvent series")
+                    q_alam = r
+            if q_alam.denominator != 1:
+                raise UnsupportedSymbol("resolvent exponents must be integers")
+            m, s = -int(q_alam), mono[lam_idx]
+            b = beta.get((m, s))
+            if b is None:
+                if not 0 < (z + s).real < m:
+                    raise UnsupportedSymbol(
+                        f"lambda integral of lambda^{s} (a0 + lambda)^{-m} diverges at Re z = {z.real}"
+                    )
+                b = gamma_complex(z + s) * gamma_complex(m - z - s) / math.factorial(m - 1)
+                beta[(m, s)] = b
+            e = p_a0 + s - m
+            a0_e = a0_pow.get(e)
+            if a0_e is None:
+                a0_e = a0_pow[e] = a0_z * a0_val ** float(e)
+            pj = pj + (complex(c) * b) * mono_val(mono) * a0_e
         damp = 1.0 - _chi_grid(j, cfg, reg, env)
-        out = out + damp * pj
+        out = out + damp * (ev.gamma * pj)
     return out
 
 

@@ -17,10 +17,14 @@ from .errors import (
     NumericalFailure,
     UnsupportedSymbol,
 )
-from .cpow import QuadratureScheme, gamma_k
+from .cpow import QuadratureScheme, _romberg, gamma_k
 from .symalg import SymExpr
 
 HERMITICITY_TOL = 1e-10
+
+# balakrishnan_matrix's default: 801 solves on [-40, 40] in ln lambda, and
+# Romberg over the steps 0.4, 0.2 and 0.1
+_BALAKRISHNAN_QUAD = QuadratureScheme(step=0.4, refine=2)
 
 
 @dataclass
@@ -273,9 +277,14 @@ def balakrishnan_matrix(
     quad: QuadratureScheme | None = None,
 ) -> HermiteOperator:
     """gamma_k(z) * integral lambda^(z-1) (A (A + lambda)^-1)^k d lambda by
-    resolvent solves at the half-line quadrature nodes (trapezoid on
-    ln lambda at the finest refinement level, with the same endpoint
-    corrections as the scalar quadrature)."""
+    resolvent solves at the half-line quadrature nodes.
+
+    The trapezoid on ln lambda is summed on every refinement level of quad
+    at once: each solve at a node of the finest grid feeds every level whose
+    stride divides the node's index, so only the finest grid is solved.  A
+    Romberg table over the levels removes the h^2 error terms, as in
+    quad_halfline, and the endpoint corrections are added at the end.  The
+    default scheme (step 0.4, two halvings) takes 801 solves."""
     z = complex(z)
     if not op.hermitian_flag:
         raise InvalidInput("balakrishnan_matrix requires a hermitian operator")
@@ -286,9 +295,15 @@ def balakrishnan_matrix(
     eigs = np.linalg.eigvalsh(A)
     if eigs.min() <= 0:
         raise NumericalFailure("operator is not positive definite on its truncation")
-    quad = quad or QuadratureScheme()
-    u, lam, w = quad.nodes(quad.refine)
-    total = np.zeros((n, n), dtype=complex)
+    quad = quad or _BALAKRISHNAN_QUAD
+    u, lam, _ = quad.nodes(quad.refine)
+    top = 2**quad.refine
+    if (lam.size - 1) % top:
+        raise InvalidParameter(
+            "quadrature levels do not nest: the finest grid must split into 2**refine blocks"
+        )
+    h = quad.step / top
+    sums = [np.zeros((n, n), dtype=complex) for _ in range(quad.refine + 1)]
     eye = np.eye(n)
     first = last = None
     for i in range(lam.size):
@@ -303,7 +318,12 @@ def balakrishnan_matrix(
             first = Rk
         if i == lam.size - 1:
             last = Rk
-        total += (w[i] * np.exp(z * u[i])) * Rk
+        wz = h * np.exp(z * u[i]) * (0.5 if i in (0, lam.size - 1) else 1.0)
+        for level, acc in enumerate(sums):
+            stride = top >> level
+            if i % stride == 0:
+                acc += (wz * stride) * Rk
+    total = _romberg(sums)[-1][-1]
     # endpoint corrections, as in quad_halfline: the integrand tends to the
     # identity-like block at 0 and decays like lambda^-k at infinity
     total += first * (np.exp(z * u[0]) / z)

@@ -911,6 +911,8 @@ def _parse(reg: Registry, text: str) -> SymExpr:
             if tk.peek() == "/":
                 tk.next()
                 den = tk.next()
+                if not isinstance(den, int) or den == 0:
+                    raise InvalidInput("malformed exponent")
             if tk.next() != ")":
                 raise InvalidInput("malformed exponent")
             return Fraction(sign * num, den)
@@ -948,7 +950,7 @@ def _parse(reg: Registry, text: str) -> SymExpr:
 
     def _as_const(e: SymExpr) -> QC:
         if not e.terms:
-            raise ZeroDivisionError("division by zero expression")
+            raise InvalidInput("division by zero")
         if len(e.terms) == 1:
             (m, p, ef), c = next(iter(e.terms.items()))
             if m == reg.zero_mono and not p and not ef:

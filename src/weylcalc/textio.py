@@ -23,15 +23,25 @@ from .symalg import Registry, SymExpr
 SYM_MAGIC = "WCSYM 1"
 SER_MAGIC = "WCSER 1"
 OP_MAGIC = b"WCOP"
+_OP_HEADER = 20  # magic + version, n_basis, n_pad, flags as <u4
 
 
 def _frac_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+def _parse_int(s: str) -> int:
+    try:
+        return int(s)
+    except ValueError:
+        raise InvalidInput(f"expected an integer, got {s!r}") from None
+
+
 def _parse_frac(s: str) -> Fraction:
-    num, den = s.split("/")
-    return Fraction(int(num), int(den))
+    num, sep, den = s.partition("/")
+    if not sep or _parse_int(den) == 0:
+        raise InvalidInput(f"malformed fraction {s!r}")
+    return Fraction(_parse_int(num), _parse_int(den))
 
 
 def _term_line(reg: Registry, key, coeff: QC) -> str:
@@ -48,18 +58,28 @@ def _parse_term_line(reg: Registry, line: str):
     parts = line[2:].split(" : ")
     if len(parts) != 4:
         raise InvalidInput(f"malformed term line: {line!r}")
-    re_s, im_s = parts[0].split()
-    mono = tuple(int(v) for v in parts[1].strip().split(","))
+    coeff = parts[0].split()
+    if len(coeff) != 2:
+        raise InvalidInput(f"malformed coefficient in term line: {line!r}")
+    re_s, im_s = coeff
+    mono = tuple(_parse_int(v) for v in parts[1].strip().split(","))
+    if len(mono) != len(reg.names) or min(mono) < 0:
+        raise InvalidInput(f"monomial needs {len(reg.names)} exponents >= 0: {line!r}")
     pow_field = parts[2].strip()
     if pow_field == "-":
         powers = ()
     else:
         pl = []
         for chunk in pow_field.split(";"):
-            name, r = chunk.split("^")
+            name, sep, r = chunk.partition("^")
+            if not sep:
+                raise InvalidInput(f"malformed base power {chunk!r}")
+            reg.base_poly(name)  # raises InvalidInput for an unknown base
             pl.append((name, _parse_frac(r)))
         powers = tuple(sorted(pl))
-    expf = bool(int(parts[3].strip()))
+    expf = bool(_parse_int(parts[3].strip()))
+    if expf and reg.exp_base is None:
+        raise InvalidInput("exponential atom without an expbase designation")
     coeff = QC(_parse_frac(re_s), _parse_frac(im_s))
     return (mono, powers, expf), coeff
 
@@ -105,6 +125,10 @@ class _Lines:
     def peek(self):
         return self.lines[self.pos] if self.pos < len(self.lines) else None
 
+    def starts(self, prefix: str) -> bool:
+        ln = self.peek()
+        return ln is not None and ln.startswith(prefix)
+
     def next(self):
         ln = self.peek()
         if ln is None:
@@ -117,16 +141,19 @@ def _load_registry(lr: _Lines, seed: int = 7) -> Registry:
     d_line = lr.next()
     if not d_line.startswith("d "):
         raise InvalidInput("expected dimension line")
-    d = int(d_line.split()[1])
+    d = _parse_int(d_line[2:].strip())
     p_line = lr.next()
     if not p_line.startswith("params"):
         raise InvalidInput("expected params line")
     params = tuple(p_line.split()[1:])
     reg = Registry(d, params=params, seed=seed)
-    while lr.peek() is not None and lr.peek().startswith("base "):
-        name = lr.next().split()[1]
+    while lr.starts("base "):
+        fields = lr.next().split()
+        if len(fields) != 2:
+            raise InvalidInput("malformed base line")
+        name = fields[1]
         poly = {}
-        while not lr.peek().startswith("end"):
+        while not lr.starts("end"):
             key, c = _parse_term_line(reg, lr.next())
             mono, powers, expf = key
             if powers or expf:
@@ -134,15 +161,18 @@ def _load_registry(lr: _Lines, seed: int = 7) -> Registry:
             poly[mono] = c
         lr.next()  # end
         reg.register_base(name, poly)
-    if lr.peek() is not None and lr.peek().startswith("expbase"):
-        _, name, r = lr.next().split()
+    if lr.starts("expbase"):
+        fields = lr.next().split()
+        if len(fields) != 3:
+            raise InvalidInput("malformed expbase line")
+        _, name, r = fields
         reg.designate_exp(name, _parse_frac(r))
     return reg
 
 
 def _load_expr_block(lr: _Lines, reg: Registry) -> SymExpr:
     terms = {}
-    while not lr.peek().startswith("end"):
+    while not lr.starts("end"):
         key, c = _parse_term_line(reg, lr.next())
         terms[key] = c
     lr.next()
@@ -166,8 +196,8 @@ def load_series(text: str, seed: int = 7) -> FormalSeries:
     reg = _load_registry(lr, seed=seed)
     terms = []
     expect = 0
-    while lr.peek() is not None and lr.peek().startswith("order"):
-        j = int(lr.next().split()[1])
+    while lr.starts("order"):
+        j = _parse_int(lr.next()[5:].strip())
         if j != expect:
             raise InvalidInput("series orders must be contiguous from 0")
         expect += 1
@@ -191,12 +221,14 @@ def dump_operator(op: HermiteOperator) -> bytes:
 def load_operator(blob: bytes) -> HermiteOperator:
     if blob[:4] != OP_MAGIC:
         raise InvalidInput("not a weylcalc operator file")
-    version, n, n_pad, flags = struct.unpack("<IIII", blob[4:20])
+    if len(blob) < _OP_HEADER:
+        raise InvalidInput("operator file header is truncated")
+    version, n, n_pad, flags = struct.unpack("<IIII", blob[4:_OP_HEADER])
     if version != 1:
         raise InvalidInput(f"unsupported operator file version {version}")
-    data = np.frombuffer(blob[20:], dtype=np.complex128)
-    if data.size != n * n:
+    if len(blob) - _OP_HEADER != 16 * n * n:
         raise InvalidInput("operator payload size mismatch")
+    data = np.frombuffer(blob[_OP_HEADER:], dtype=np.complex128)
     return HermiteOperator(data.reshape(n, n).copy(), n_pad=n_pad, hermitian_flag=bool(flags & 1))
 
 

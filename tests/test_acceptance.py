@@ -13,10 +13,20 @@ from weylcalc.cpow import (
     PowerEvaluator,
     gamma_k,
     power_coefficient,
+    power_series_eval,
+    power_series_eval_grid,
     quad_halfline,
     two_var_identity_check,
 )
-from weylcalc.fsring import FormalSeries, canonical, change_quantization, sharp, sharp_power, unit_series
+from weylcalc.fsring import (
+    CutoffConfig,
+    FormalSeries,
+    canonical,
+    change_quantization,
+    sharp,
+    sharp_power,
+    unit_series,
+)
 from weylcalc.heat import bound_profile, faa_di_bruno_weight_sum, heat_terms, pde_residual
 from weylcalc.parametrix import parametrix, resolvent_parametrix, verify_left_identity
 from weylcalc.symalg import PhasePoint, Registry
@@ -237,6 +247,21 @@ class TestCriterion4:
                 rhs = power_coefficient(ev_3half, j, w).value
                 worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
         report("4c mixed semigroup p_{1/2} # a0 = p_{3/2}", worst <= 1e-6, f"worst {worst:.2e}")
+
+    def test_closed_form_grid_matches_quadrature(self, a0_setup):
+        _, a0 = a0_setup
+        cfg = CutoffConfig.from_weights(make_gevrey(1.0, 40), R=1.4)
+        pts = self.grid50()
+        env = {"x1": np.array([w.x[0] for w in pts]), "xi1": np.array([w.xi[0] for w in pts])}
+        worst = 0.0
+        for z in (0.5, 1.3, 0.5 + 0.7j):
+            ev = PowerEvaluator(a0, z, order=3)
+            for N in (1, 2, 3):
+                grid = power_series_eval_grid(ev, N, env, cfg)
+                for w, val in zip(pts, grid):
+                    ref = power_series_eval(ev, N, w, cfg)
+                    worst = max(worst, abs(val - ref) / max(1.0, abs(ref)))
+        report("4d closed-form grid path = quadrature, j < 3 on 50 points", worst <= 1e-7, f"worst {worst:.2e}")
 
 
 # -- criterion 5: heat parametrix ----------------------------------------------

@@ -240,3 +240,42 @@ class TestNumericCommands:
             ]
         )
         assert rc == 1
+
+
+class TestConfig:
+    def run_power(self, tmp_path, config_text, *flags):
+        cfg = tmp_path / "config.json"
+        if config_text is not None:
+            cfg.write_text(config_text)
+        out = tmp_path / "vp"
+        rc = main(["--config", str(cfg), "validate-power", *flags, "--out", str(out)])
+        return rc, out
+
+    def test_keys_with_argparse_defaults_apply(self, tmp_path):
+        rc, out = self.run_power(tmp_path, '{"basis": 8, "order": 1, "cutoff-r": 2.0, "seed": 3}')
+        assert rc == 0
+        rep = json.loads((out / "validate_power.json").read_text())
+        assert (rep["basis"], rep["order"], rep["cutoff_r"]) == (8, 1, 2.0)
+        assert json.loads((out / "meta.json").read_text())["config"]["seed"] == 3
+
+    def test_flags_win_over_config(self, tmp_path):
+        rc, out = self.run_power(tmp_path, '{"basis": 8, "order": 2}', "--order", "1")
+        assert rc == 0
+        rep = json.loads((out / "validate_power.json").read_text())
+        assert (rep["basis"], rep["order"]) == (8, 1)
+
+    @pytest.mark.parametrize(
+        "config_text",
+        [
+            None,  # missing file
+            '{"basis": 8',  # malformed JSON
+            "[8]",  # not an object
+            '{"basis": 8, "t": "0.5"}',  # key of another subcommand
+            '{"basis": "eight"}',  # value the flag's type rejects
+            '{"basis": [8]}',  # not a scalar
+        ],
+    )
+    def test_bad_config_exits_1_with_typed_error(self, tmp_path, capsys, config_text):
+        rc, _ = self.run_power(tmp_path, config_text)
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: InvalidInput:")

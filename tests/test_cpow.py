@@ -8,7 +8,6 @@ import pytest
 from weylcalc.cpow import (
     PowerEvaluator,
     Quadrature2D,
-    QuadratureScheme,
     gamma_complex,
     gamma_k,
     positivize,
@@ -31,6 +30,12 @@ def power_reg():
     reg.register_base("a0", reg.parse("1 + x1^2 + xi1^2"))
     reg.register_base("alam", reg.parse("1 + x1^2 + xi1^2 + lam"))
     return reg
+
+
+def grid50():
+    """The criterion-4 points."""
+    rng = np.random.default_rng(200)
+    return [PhasePoint((x,), (xi,)) for x, xi in rng.uniform(-3, 3, (50, 2))]
 
 
 class TestGamma:
@@ -244,8 +249,7 @@ class TestPowerSeriesEval:
 
     def test_grid_matches_pointwise(self):
         reg = power_reg()
-        scheme = QuadratureScheme(u_min=-34.0, u_max=34.0, step=0.1, refine=1)
-        ev = PowerEvaluator(reg.base("a0"), 0.5, order=3, quad=scheme)
+        ev = PowerEvaluator(reg.base("a0"), 0.5, order=3)
         cfg = self.cfg()
         xs = np.array([0.5, 1.5, -2.0])
         xis = np.array([1.0, -0.5, 0.25])
@@ -253,9 +257,33 @@ class TestPowerSeriesEval:
         for i in range(xs.size):
             w = PhasePoint((xs[i],), (xis[i],))
             ref = power_series_eval(ev, 3, w, cfg)
-            # same nodes, but the scalar path adds endpoint corrections and
-            # Romberg; both are converged well below this tolerance
-            assert abs(grid_vals[i] - ref) <= 1e-6 * max(1.0, abs(ref))
+            # the grid path integrates over lambda in closed form, the
+            # scalar path by quadrature; they differ by the quadrature error
+            assert abs(grid_vals[i] - ref) <= 1e-9 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("z", [0.5, 1.3, 0.5 + 0.7j])
+    def test_closed_form_matches_quadrature(self, z):
+        # R this small puts every point outside the cutoff shells, so
+        # 1 - chi_j = 1 and the grid path at N sums p_{z,j} over j < N
+        cfg = CutoffConfig.from_weights(make_gevrey(1.0, 20), R=1e-9)
+        ev = PowerEvaluator(power_reg().base("a0"), z, order=3)
+        pts = grid50()
+        env = {"x1": np.array([w.x[0] for w in pts]), "xi1": np.array([w.xi[0] for w in pts])}
+        total = np.zeros(len(pts), dtype=complex)
+        for j in range(3):
+            total = total + np.array([power_coefficient(ev, j, w).value for w in pts])
+            grid = power_series_eval_grid(ev, j + 1, env, cfg)
+            assert np.max(np.abs(grid - total) / np.maximum(1.0, np.abs(total))) <= 1e-7
+
+    def test_term_outside_convergence_strip_rejected(self):
+        # lambda * g_0 = lambda a0 / (a0 + lambda) grows like lambda^1, so
+        # its lambda^(z-1) integral diverges for every Re z > 0
+        reg = power_reg()
+        ev = PowerEvaluator(reg.base("a0"), 0.5, order=2)
+        ev_lam = ev.sharp_with(canonical(reg.var("lam"), 2))
+        env = {"x1": np.array([0.5]), "xi1": np.array([1.0])}
+        with pytest.raises(UnsupportedSymbol):
+            power_series_eval_grid(ev_lam, 1, env, self.cfg())
 
     def test_far_field_decay_rate(self):
         # |a^z - a0^z| / a0^(Re z) falls off at least like <w>^(-2 rho)

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from weylcalc.errors import InvalidInput, NumericalFailure, UnsupportedSymbol
+from weylcalc.cpow import QuadratureScheme
+from weylcalc.errors import InvalidInput, InvalidParameter, NumericalFailure, UnsupportedSymbol
 from weylcalc.fsring import canonical, sharp
 from weylcalc.quant import (
     HermiteOperator,
@@ -224,10 +225,25 @@ class TestBalakrishnan:
         rep = spectral_compare(S, B, (0, 27))
         assert rep.max_error <= 1e-9
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_default_scheme_oscillator_n64(self, k):
+        reg = plain_reg()
+        H = quantize_poly(reg.parse("x1^2 + xi1^2"), 64)
+        B = balakrishnan_matrix(H, 0.5, k)
+        S = matrix_function(H, lambda v: math.sqrt(v.real))
+        rep = spectral_compare(S, B, (0, 59))
+        assert rep.max_error <= 1e-12
+
     def test_rejects_nonpositive(self):
         D = HermiteOperator.wrap(np.diag([1.0, -0.5]))
         with pytest.raises(NumericalFailure):
             balakrishnan_matrix(D, 0.5, 1)
+
+    def test_rejects_levels_that_do_not_nest(self):
+        # 80 / 0.3 steps: the finest grid (1067 intervals) is no 4-fold refinement
+        I = HermiteOperator.wrap(np.eye(2))
+        with pytest.raises(InvalidParameter):
+            balakrishnan_matrix(I, 0.5, 1, QuadratureScheme(step=0.3, refine=2))
 
 
 class TestSpectralCompare:
@@ -263,3 +279,13 @@ class TestOperatorIO:
         assert H2.n_pad == H.n_pad
         assert H2.hermitian_flag == H.hermitian_flag
         assert np.array_equal(H2.matrix, H.matrix)
+
+    def test_truncated_header_rejected(self):
+        blob = dump_operator(quantize_poly(plain_reg().one(), 4))
+        with pytest.raises(InvalidInput):
+            load_operator(blob[:12])
+
+    def test_partial_payload_rejected(self):
+        blob = dump_operator(quantize_poly(plain_reg().one(), 4))
+        with pytest.raises(InvalidInput):
+            load_operator(blob[:-3])

@@ -275,6 +275,22 @@ class TestRegistry:
         with pytest.raises(InvalidInput):
             reg.parse("x1 + q7")
 
+    def test_parse_rejects_division_by_zero(self):
+        with pytest.raises(InvalidInput):
+            Registry(1).parse("1/0")
+
+    def test_parse_rejects_symbolic_exponent_denominator(self):
+        with pytest.raises(InvalidInput):
+            Registry(1).parse("x1^(1/x1)")
+
+    def test_truncated_symbol_file_rejected(self):
+        reg = osc_registry()
+        text = dump_symexpr(reg.parse("x1 * xi1") * reg.base("a", -1))
+        # cut before the "end" of the first base block, and of the expr block
+        for cut in (text[: text.index("end\n")], text[: text.rindex("end\n")]):
+            with pytest.raises(InvalidInput):
+                load_symexpr(cut)
+
     def test_golden_serialization_bytes(self):
         reg = Registry(1)
         reg.register_base("a", reg.parse("1 + x1^2"))
