@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import InvalidInput, WeylcalcError
-from .fsring import CutoffConfig, change_quantization, sharp
+from .errors import InvalidInput, InvalidParameter, WeylcalcError
+from .fsring import CutoffConfig, FormalSeries, change_quantization, sharp
 from .cpow import PowerEvaluator, QuadratureScheme, power_coefficient, power_series_eval_grid
 from .heat import heat_evaluate_grid, heat_terms
 from .parametrix import hypoellipticity_profile, parametrix, resolvent_parametrix
@@ -32,7 +32,7 @@ from .quant import (
     quantize_poly,
     spectral_compare,
 )
-from .symalg import PhasePoint
+from .symalg import PhasePoint, Registry, SymExpr
 from .textio import (
     dump_operator,
     dump_series,
@@ -69,20 +69,41 @@ def _meta(out_dir: Path, args: argparse.Namespace, command: str):
     _write(out_dir, "meta.json", _json_dump(meta))
 
 
+def _read(path: str, binary: bool = False):
+    """The contents of an input file; a missing or unreadable file raises
+    InvalidInput."""
+    try:
+        return Path(path).read_bytes() if binary else Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as e:
+        raise InvalidInput(f"cannot read {path}: {e}") from None
+
+
+def _parse_list(text: str, kind, what: str, lengths=None) -> list:
+    """Comma-separated values converted by kind (float, int or Fraction);
+    a malformed value, or a count outside lengths, raises InvalidInput."""
+    try:
+        vals = [kind(v) for v in text.split(",")]
+    except (ValueError, ZeroDivisionError):
+        raise InvalidInput(f"{what}: cannot read {text!r} as comma-separated {kind.__name__} values") from None
+    if lengths is not None and len(vals) not in lengths:
+        raise InvalidInput(f"{what}: expected {' or '.join(map(str, lengths))} values, got {len(vals)}")
+    return vals
+
+
 def _load_points(path: str, d: int) -> list:
     pts = []
-    for line in Path(path).read_text().splitlines():
+    for n, line in enumerate(_read(path).splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#") or line.lower().startswith("x"):
             continue
-        vals = [float(v) for v in line.split(",")]
+        vals = _parse_list(line, float, f"{path} line {n}")
         if len(vals) < 2 * d:
-            raise WeylcalcError(f"point row needs at least {2*d} columns")
+            raise InvalidInput(f"{path} line {n}: a point row needs at least {2*d} columns")
         pts.append(PhasePoint(tuple(vals[:d]), tuple(vals[d : 2 * d])))
     return pts
 
 
-def _grid_csv(points, rows, header) -> str:
+def _grid_csv(rows, header) -> str:
     lines = [header]
     lines.extend(rows)
     return "\n".join(lines) + "\n"
@@ -124,8 +145,8 @@ def cmd_check_weights(args) -> int:
 
 
 def cmd_sharp(args) -> int:
-    A = load_series(Path(args.series_a).read_text(), seed=args.seed)
-    B = load_series(Path(args.series_b).read_text(), seed=args.seed)
+    A = load_series(_read(args.series_a), seed=args.seed)
+    B = load_series(_read(args.series_b), seed=args.seed)
     B = _rebind_series(B, A.reg)
     C = sharp(A, B, args.order)
     out = Path(args.out)
@@ -137,9 +158,6 @@ def cmd_sharp(args) -> int:
 def _rebind_series(S, reg):
     """Move a series onto a structurally identical registry (same dimension,
     parameters and base polynomials) so two loaded files can be combined."""
-    from .fsring import FormalSeries
-    from .symalg import SymExpr
-
     other = S.reg
     if (
         other.d != reg.d
@@ -147,13 +165,15 @@ def _rebind_series(S, reg):
         or {n: other.base_poly(n) for n in other._bases}
         != {n: reg.base_poly(n) for n in reg._bases}
     ):
-        raise WeylcalcError("series files have incompatible registries")
+        raise InvalidInput("series files have incompatible registries")
     return FormalSeries([SymExpr(reg, dict(t.terms)) for t in S.terms])
 
 
 def cmd_requantize(args) -> int:
-    A = load_series(Path(args.series).read_text(), seed=args.seed)
-    C = change_quantization(A, Fraction(args.tau), Fraction(args.tau1), args.order)
+    A = load_series(_read(args.series), seed=args.seed)
+    (tau,) = _parse_list(args.tau, Fraction, "--tau", (1,))
+    (tau1,) = _parse_list(args.tau1, Fraction, "--tau1", (1,))
+    C = change_quantization(A, tau, tau1, args.order)
     out = Path(args.out)
     _write(out, "requantized.series", dump_series(C))
     _meta(out, args, "requantize")
@@ -161,7 +181,7 @@ def cmd_requantize(args) -> int:
 
 
 def cmd_parametrix(args) -> int:
-    a = load_symexpr(Path(args.symbol).read_text(), seed=args.seed)
+    a = load_symexpr(_read(args.symbol), seed=args.seed)
     if args.resolvent:
         q = resolvent_parametrix(a, args.order)
     else:
@@ -169,9 +189,7 @@ def cmd_parametrix(args) -> int:
     out = Path(args.out)
     _write(out, "parametrix.series", dump_series(q))
     if args.profile_points:
-        from .weights import make_gevrey as mg
-
-        ws = mg(args.profile_sigma, 40)
+        ws = make_gevrey(args.profile_sigma, 40)
         grid = _load_points(args.profile_points, a.reg.d)
         prof = hypoellipticity_profile(a, ws, args.rho, grid, max_order=args.profile_order)
         rows = []
@@ -180,7 +198,7 @@ def cmd_parametrix(args) -> int:
             rows.append(
                 f"\"{gamma}\",{i},{','.join(repr(v) for v in (*w.x, *w.xi))},{ratio!r}"
             )
-        _write(out, "profile.csv", _grid_csv(None, rows, "alpha,point,coords,ratio"))
+        _write(out, "profile.csv", _grid_csv(rows, "alpha,point,coords,ratio"))
         _write(
             out,
             "profile.json",
@@ -198,8 +216,8 @@ def cmd_parametrix(args) -> int:
 
 
 def cmd_complex_power(args) -> int:
-    a0 = load_symexpr(Path(args.symbol).read_text(), seed=args.seed)
-    parts = [float(v) for v in args.z.split(",")]
+    a0 = load_symexpr(_read(args.symbol), seed=args.seed)
+    parts = _parse_list(args.z, float, "--z", (1, 2))
     z = complex(parts[0], parts[1] if len(parts) > 1 else 0.0)
     ev = PowerEvaluator(a0, z, order=args.order, k=args.k, quad=_quad_from_args(args))
     points = _load_points(args.points, a0.reg.d)
@@ -211,7 +229,7 @@ def cmd_complex_power(args) -> int:
                 f"{i},{','.join(repr(v) for v in (*w.x, *w.xi))},{j},"
                 f"{res.value.real!r},{res.value.imag!r},{res.error!r}"
             )
-    payload = _grid_csv(points, rows, "point,coords,j,re_p,im_p,err")
+    payload = _grid_csv(rows, "point,coords,j,re_p,im_p,err")
     out = Path(args.out)
     _write(out, "power.csv", payload)
     _meta(out, args, "complex-power")
@@ -219,11 +237,11 @@ def cmd_complex_power(args) -> int:
 
 
 def cmd_heat(args) -> int:
-    b = load_symexpr(Path(args.symbol).read_text(), seed=args.seed)
+    b = load_symexpr(_read(args.symbol), seed=args.seed)
     terms = heat_terms(b, args.order)
     points = _load_points(args.points, b.reg.d)
     cfg = _cutoff_from_args(args)
-    t_grid = [float(v) for v in args.t_grid.split(",")]
+    t_grid = _parse_list(args.t_grid, float, "--t-grid")
     rows = []
     for i, w in enumerate(points):
         env = w.env(b.reg)
@@ -233,13 +251,13 @@ def cmd_heat(args) -> int:
                 f"{i},{','.join(repr(v) for v in (*w.x, *w.xi))},{t!r},{val.real!r},{val.imag!r}"
             )
     out = Path(args.out)
-    _write(out, "heat.csv", _grid_csv(points, rows, "point,coords,t,re_u,im_u"))
+    _write(out, "heat.csv", _grid_csv(rows, "point,coords,t,re_u,im_u"))
     _meta(out, args, "heat")
     return 0
 
 
 def cmd_quantize(args) -> int:
-    sigma = load_symexpr(Path(args.symbol).read_text(), seed=args.seed)
+    sigma = load_symexpr(_read(args.symbol), seed=args.seed)
     if args.general:
         env_extra = {}
         if args.t is not None:
@@ -262,9 +280,9 @@ def cmd_quantize(args) -> int:
 
 
 def cmd_spectral_compare(args) -> int:
-    A = load_operator(Path(args.a).read_bytes())
-    B = load_operator(Path(args.b).read_bytes())
-    lo, hi = (int(v) for v in args.range.split(","))
+    A = load_operator(_read(args.a, binary=True))
+    B = load_operator(_read(args.b, binary=True))
+    lo, hi = _parse_list(args.range, int, "--range", (2,))
     rep = spectral_compare(A, B, (lo, hi))
     out = Path(args.out)
     _write(out, "compare.json", _json_dump(rep.as_dict()))
@@ -277,8 +295,14 @@ def cmd_spectral_compare(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# the smallest basis whose state window and interior block are non-empty
+_MIN_VALIDATION_BASIS = 5
+
+
 def _state_window(basis: int) -> tuple:
     """Compared states, scaled from the reference window [16, 40] at 64."""
+    if basis < _MIN_VALIDATION_BASIS:
+        raise InvalidParameter(f"validation needs basis >= {_MIN_VALIDATION_BASIS}, got {basis}")
     lo = basis // 4
     hi = min(basis - 3, max(lo, (basis * 40) // 64))
     return lo, hi
@@ -297,8 +321,7 @@ def run_validate_power(
     the oscillator, then the quantized resummed power symbol of
     a0 = 1 + x^2 + xi^2 against the spectral z-power of the shifted
     oscillator, for truncations N = 1..order."""
-    from .symalg import Registry
-
+    lo, hi = _state_window(basis)
     reg = Registry(1, seed=seed)
     reg.register_base("a0", reg.parse("1 + x1^2 + xi1^2"))
     reg.register_base("alam", reg.parse("1 + x1^2 + xi1^2 + lam"))
@@ -322,7 +345,6 @@ def run_validate_power(
     ev = PowerEvaluator(a0, z, order=order, k=max(int(math.floor(z.real)) + 1, 1))
     ws = make_gevrey(1.0, 40)
     cfg = CutoffConfig.from_weights(ws, R=cutoff_r)
-    lo, hi = _state_window(basis)
     per_n = {}
     for N in range(1, order + 1):
         sym = lambda X, XI: power_series_eval_grid(ev, N, {"x1": X, "xi1": XI}, cfg)
@@ -352,8 +374,7 @@ def run_validate_sqrt(
     """Square-root semigroup validation: the heat parametrix of
     b = (1 + x^2 + xi^2)^(1/2), quantized, against exp(-t sqrt(.)) of the
     shifted oscillator."""
-    from .symalg import Registry
-
+    lo, hi = _state_window(basis)
     reg = Registry(1, seed=seed)
     reg.register_base("a0", reg.parse("1 + x1^2 + xi1^2"))
     reg.designate_exp("a0", Fraction(1, 2))
@@ -370,7 +391,6 @@ def run_validate_sqrt(
     U0 = quantize_general(sym0, basis)
     ident_err = float(np.max(np.abs(U0.matrix - np.eye(basis))))
 
-    lo, hi = _state_window(basis)
     results = {}
     for t in t_values:
         ref = matrix_function(shifted, lambda v: math.exp(-t * math.sqrt(v.real)))
@@ -404,7 +424,7 @@ def cmd_validate_power(args) -> int:
 
 
 def cmd_validate_sqrt(args) -> int:
-    t_values = tuple(float(v) for v in args.t.split(","))
+    t_values = tuple(_parse_list(args.t, float, "--t"))
     report = run_validate_sqrt(
         basis=args.basis, order=args.order, t_values=t_values, cutoff_r=args.cutoff_r, seed=args.seed
     )
@@ -530,9 +550,9 @@ def _load_config(path: str, args: argparse.Namespace) -> dict:
     are handed to argparse as strings, so each flag's own type check
     applies to them."""
     try:
-        config = json.loads(Path(path).read_text())
-    except (OSError, UnicodeDecodeError, ValueError) as e:
-        raise InvalidInput(f"cannot read config file {path}: {e}") from None
+        config = json.loads(_read(path))
+    except ValueError as e:
+        raise InvalidInput(f"config file {path} is not JSON: {e}") from None
     if not isinstance(config, dict):
         raise InvalidInput("config file must hold a JSON object")
     config = {k.replace("-", "_"): v for k, v in config.items()}

@@ -5,6 +5,7 @@ coefficients p_{z,j}(w), and the paper-level integral identities as oracles."""
 from __future__ import annotations
 
 import cmath
+import copy
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -12,9 +13,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidInput, InvalidParameter, UnsupportedSymbol
-from .fsring import CutoffConfig, FormalSeries, canonical, cutoff_chi, sharp, sharp_power
+from .fsring import CutoffConfig, FormalSeries, canonical, cutoff_chi, cutoff_chi_grid, sharp, sharp_power
 from .parametrix import resolvent_parametrix
-from .symalg import PhasePoint, Registry, SymExpr
+from .symalg import PhasePoint, SymExpr
 
 # ---------------------------------------------------------------------------
 # complex gamma (Lanczos, g = 607/128 with 15 coefficients; reflection for
@@ -288,14 +289,7 @@ class PowerEvaluator:
         side='left'), with B an exact symbol series: the sharp product is
         formed symbolically under the lambda integral, so the resulting
         evaluator samples gamma_k(z) * integral lambda^(z-1) (g # B)_j."""
-        clone = object.__new__(PowerEvaluator)
-        clone.a0 = self.a0
-        clone.z = self.z
-        clone.k = self.k
-        clone.order = self.order
-        clone.quad = self.quad
-        clone.lam = self.lam
-        clone.gamma = self.gamma
+        clone = copy.copy(self)
         g_series = FormalSeries(list(self.series))
         if side == "right":
             clone.series = sharp(g_series, B, self.order).terms
@@ -354,7 +348,9 @@ def power_series_eval_grid(ev: PowerEvaluator, N: int, env: dict, cfg: CutoffCon
     z = ev.z
     bp_a0 = ev.a0.single_base_power()[1]
     lam_idx = reg.var_index(ev.lam)
-    a0_val = _base_value(reg, bp_a0, env)
+    a0_val = reg.base_value(bp_a0, env)
+    xs = [env[f"x{i+1}"] for i in range(reg.d)]
+    xis = [env[f"xi{i+1}"] for i in range(reg.d)]
     # a0^z once (a real power when z is real), times real powers a0^(p+s-m)
     a0_z = a0_val ** (z.real if z.imag == 0 else z)
     beta: dict = {}  # (m, s) -> B(z + s, m - z - s)
@@ -409,28 +405,9 @@ def power_series_eval_grid(ev: PowerEvaluator, N: int, env: dict, cfg: CutoffCon
             if a0_e is None:
                 a0_e = a0_pow[e] = a0_z * a0_val ** float(e)
             pj = pj + (complex(c) * b) * mono_val(mono) * a0_e
-        damp = 1.0 - _chi_grid(j, cfg, reg, env)
+        damp = 1.0 - cutoff_chi_grid(j, cfg, xs, xis)
         out = out + damp * (ev.gamma * pj)
     return out
-
-
-def _base_value(reg: Registry, name: str, env: dict):
-    v = 0.0
-    for m, c in reg.base_poly(name).items():
-        term = float(c.re)
-        for i, e in enumerate(m):
-            if e:
-                term = term * np.asarray(env[reg.names[i]], dtype=float) ** e
-        v = v + term
-    return v
-
-
-def _chi_grid(j: int, cfg: CutoffConfig, reg: Registry, env: dict):
-    from .fsring import cutoff_chi_grid
-
-    xs = [env[f"x{i+1}"] for i in range(reg.d)]
-    xis = [env[f"xi{i+1}"] for i in range(reg.d)]
-    return cutoff_chi_grid(j, cfg, xs, xis)
 
 
 # ---------------------------------------------------------------------------
@@ -438,23 +415,10 @@ def _chi_grid(j: int, cfg: CutoffConfig, reg: Registry, env: dict):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Quadrature2D:
-    """Tensor trapezoid on (ln lambda, ln mu) for the divided-difference
-    identity; coarser than the 1D scheme but with a wide left window since
-    the exponents can sit close to 0."""
-
-    u_min: float = -60.0
-    u_max: float = 40.0
-    step: float = 0.1
-
-    def nodes(self):
-        n = int(round((self.u_max - self.u_min) / self.step))
-        u = self.u_min + self.step * np.arange(n + 1)
-        w = np.full(n + 1, self.step)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return u, np.exp(u), w
+# tensor trapezoid on (ln lambda, ln mu) for the divided-difference identity:
+# coarser than the 1D default but with a wide left window, since the
+# exponents can sit close to 0
+_TWO_VAR_QUAD = QuadratureScheme(u_min=-60.0, u_max=40.0, step=0.1, refine=0)
 
 
 def two_var_identity_check(
@@ -462,7 +426,7 @@ def two_var_identity_check(
     fprime,
     z: complex,
     zeta: complex,
-    quad2d: Quadrature2D | None = None,
+    quad2d: QuadratureScheme | None = None,
     quad1d: QuadratureScheme | None = None,
 ) -> tuple:
     """Both sides of the divided-difference identity
@@ -471,12 +435,12 @@ def two_var_identity_check(
           lambda^(z-1) mu^(zeta-1) (f(lambda) - f(mu)) / (lambda - mu)
     rhs = gamma_2(z + zeta) * integral lambda^(z+zeta-1) f'(lambda)
 
-    for 0 < Re z, Re zeta < 1.  Returned as (lhs, rhs) for comparison."""
+    for 0 < Re z, Re zeta < 1.  The 2D integral is a tensor trapezoid on the
+    level-0 nodes of quad2d.  Returned as (lhs, rhs) for comparison."""
     z, zeta = complex(z), complex(zeta)
     if not (0 < z.real < 1 and 0 < zeta.real < 1):
         raise InvalidParameter("need 0 < Re z, Re zeta < 1")
-    quad2d = quad2d or Quadrature2D()
-    u, lam, w = quad2d.nodes()
+    u, lam, w = (quad2d or _TWO_VAR_QUAD).nodes()
     fl = np.asarray(f(lam), dtype=complex)
     # divided difference on the tensor grid; exact diagonal via fprime
     lam_i = lam[:, None]

@@ -3,7 +3,7 @@ and resummation of truncated series to evaluable symbols."""
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -85,10 +85,54 @@ def unit_series(reg: Registry, N: int) -> FormalSeries:
     return canonical(reg.one(), N)
 
 
+# ---------------------------------------------------------------------------
+# the Moyal kernel of the Weyl composition
+# ---------------------------------------------------------------------------
+
+
+@functools.cache
+def moyal_coefficients(d: int, l: int) -> tuple:
+    """The order-l terms of the Weyl composition in dimension d: a triple
+    (alpha, beta, c) for every |alpha + beta| = l, where
+
+        c = (-1)^|beta| (-i)^l / (alpha! beta! 2^l)
+
+    weighs d^alpha_xi d^beta_x L * d^beta_xi d^alpha_x R (the (-i)^l turns
+    the x-derivatives into D_x = -i d_x)."""
+    pow2 = Fraction(1, 2**l)
+    out = []
+    for gamma in multi_indices(2 * d, l):
+        alpha, beta = gamma[:d], gamma[d:]
+        c = (
+            QC((-1) ** sum(beta))
+            * qc_ipow(l)
+            * QC(pow2 / (multi_factorial(alpha) * multi_factorial(beta)))
+        )
+        out.append((alpha, beta, c))
+    return tuple(out)
+
+
+def moyal_accumulate(acc: SymExpr, pairs, l: int) -> SymExpr:
+    """acc plus the order-l Moyal terms c * d^alpha_xi d^beta_x L *
+    d^beta_xi d^alpha_x R of each (L, R) pair of DerivCaches.  Terms are
+    added per (alpha, beta) of moyal_coefficients, then per pair, so the
+    term order of the result (and the float sums of its evaluation) is
+    fixed by the callers' pair order."""
+    for alpha, beta, c in moyal_coefficients(acc.reg.d, l):
+        for left, right in pairs:
+            lv = left.get(alpha, beta)
+            if lv.is_zero():
+                continue
+            rv = right.get(beta, alpha)
+            if rv.is_zero():
+                continue
+            acc = acc + (lv * rv).scale(c)
+    return acc
+
+
 def sharp(A: FormalSeries, B: FormalSeries, N: int) -> FormalSeries:
-    """Sharp product: c_j = sum over s+k+l=j, |alpha+beta|=l of
-    (-1)^|beta| / (alpha! beta! 2^l) * d^alpha_xi D^beta_x a_s * d^beta_xi D^alpha_x b_k.
-    """
+    """Sharp product: c_j = sum over s+k+l=j of the order-l Moyal terms
+    (moyal_coefficients) of the pair (a_s, b_k)."""
     if A.reg is not B.reg:
         raise InvalidInput("sharp product needs a common registry")
     if A.d != B.d:
@@ -100,31 +144,14 @@ def sharp(A: FormalSeries, B: FormalSeries, N: int) -> FormalSeries:
             f"need at least {N} input terms on both factors (no implicit zero-padding)"
         )
     reg = A.reg
-    d = reg.d
     a_cache = [DerivCache(A[s]) for s in range(N)]
     b_cache = [DerivCache(B[k]) for k in range(N)]
     out = []
     for j in range(N):
         cj = reg.zero()
         for l in range(j + 1):
-            pow2 = Fraction(1, 2**l)
-            for gamma in multi_indices(2 * d, l):
-                alpha, beta = gamma[:d], gamma[d:]
-                # D^beta_x on the left factor, D^alpha_x on the right
-                scalar = (
-                    QC((-1) ** sum(beta))
-                    * qc_ipow(l)
-                    * QC(pow2 / (multi_factorial(alpha) * multi_factorial(beta)))
-                )
-                for s in range(j - l + 1):
-                    k = j - l - s
-                    left = a_cache[s].get(alpha, beta)
-                    if left.is_zero():
-                        continue
-                    right = b_cache[k].get(beta, alpha)
-                    if right.is_zero():
-                        continue
-                    cj = cj + (left * right).scale(scalar)
+            pairs = [(a_cache[s], b_cache[j - l - s]) for s in range(j - l + 1)]
+            cj = moyal_accumulate(cj, pairs, l)
         out.append(cj)
     return FormalSeries(out)
 
@@ -240,24 +267,16 @@ class CutoffConfig:
         return self.R * self.m_values[n]
 
 
-def _block_bracket(vs) -> float:
-    return math.sqrt(1.0 + sum(v * v for v in vs))
-
-
 def cutoff_chi(n: int, cfg: CutoffConfig, w: PhasePoint) -> float:
     """chi_{n,R}(w) in [0, 1]; chi_0 is identically 0."""
-    if n < 0:
-        raise InvalidParameter("n must be >= 0")
-    if n == 0:
-        return 0.0
-    s = cfg.scale(n)
-    ux = _block_bracket([v / s for v in w.x])
-    uxi = _block_bracket([v / s for v in w.xi])
-    return float(_psi_profile(np.array([ux]))[0] * _psi_profile(np.array([uxi]))[0])
+    return float(cutoff_chi_grid(n, cfg, w.x, w.xi))
 
 
 def cutoff_chi_grid(n: int, cfg: CutoffConfig, x_arrays, xi_arrays):
-    """Vectorised chi_{n,R} over arrays of coordinates (lists per dimension)."""
+    """chi_{n,R} over coordinate arrays (one per dimension, broadcastable;
+    scalars give a 0-d result)."""
+    if n < 0:
+        raise InvalidParameter("n must be >= 0")
     if n == 0:
         return np.zeros(np.broadcast(*x_arrays, *xi_arrays).shape)
     s = cfg.scale(n)

@@ -11,13 +11,12 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import InvalidParameter, UnsupportedSymbol
-from .fsring import CutoffConfig, cutoff_chi
+from .fsring import CutoffConfig, cutoff_chi_grid, moyal_accumulate
 from .parametrix import _fit_h_c
-from .qrat import QC, qc_ipow
-from .symalg import DerivCache, PhasePoint, SymExpr, multi_factorial, multi_indices
+from .qrat import QC
+from .symalg import DerivCache, PhasePoint, SymExpr, multi_indices
 from .weights import WeightSequence
 
 logger = logging.getLogger("weylcalc.heat")
@@ -63,31 +62,16 @@ def heat_terms(b: SymExpr, N: int) -> list:
         raise InvalidParameter("order must be >= 1")
     reg = b.reg
     _resolve_heat_base(b)
-    d = reg.d
     u0 = reg.exp_atom()
     out = [HeatTerm(0, reg.one(), u0)]
     b_cache = DerivCache(b)
     u_caches = [DerivCache(u0)]
     for j in range(1, N):
-        acc = reg.zero()  # polynomial in t (exp flag cleared), pre-integration
+        acc = reg.zero()
         for l in range(1, j + 1):
-            pow2 = Fraction(1, 2**l)
-            for gamma in multi_indices(2 * d, l):
-                mu, nu = gamma[:d], gamma[d:]
-                scalar = (
-                    QC((-1) ** sum(nu))
-                    * qc_ipow(l)
-                    * QC(pow2 / (multi_factorial(mu) * multi_factorial(nu)))
-                )
-                b_part = b_cache.get(mu, nu)
-                if b_part.is_zero():
-                    continue
-                u_part = u_caches[j - l].get(nu, mu)
-                if u_part.is_zero():
-                    continue
-                integrand = (b_part * u_part).drop_exp()
-                acc = acc + integrand.scale(scalar)
-        q_j = -acc.integrate_t()
+            acc = moyal_accumulate(acc, [(b_cache, u_caches[j - l])], l)
+        # e^{sb} e^{-sb} cancels: integrate the polynomial in s exactly
+        q_j = -acc.drop_exp().integrate_t()
         u_j = q_j.with_exp()
         t_deg = q_j.max_degree("t")
         if t_deg > 3 * j:
@@ -101,60 +85,28 @@ def heat_terms(b: SymExpr, N: int) -> list:
 
 def pde_residual(terms: list, j: int) -> SymExpr:
     """Left-hand side of transport equation j:
-    d/dt u_j + sum_{k+l=j} sum_{|mu+nu|=l} (-1)^|nu| / (mu! nu! 2^l)
-               d^mu_xi D^nu_x b * d^nu_xi D^mu_x u_k.
+    d/dt u_j + sum_{k+l=j} (order-l Moyal terms of the pair (b, u_k)).
     Symbolically zero for terms produced by heat_terms."""
     if j >= len(terms):
         raise InvalidParameter("terms computed only to a lower order")
     reg = terms[0].full.reg
-    d = reg.d
-    name, r = reg.exp_base
-    b = reg.base(name, r)
-    b_cache = DerivCache(b)
+    b_cache = DerivCache(reg.base(*reg.exp_base))
     res = terms[j].full.diff("t")
     for l in range(j + 1):
-        k = j - l
-        pow2 = Fraction(1, 2**l)
-        for gamma in multi_indices(2 * d, l):
-            mu, nu = gamma[:d], gamma[d:]
-            scalar = (
-                QC((-1) ** sum(nu))
-                * qc_ipow(l)
-                * QC(pow2 / (multi_factorial(mu) * multi_factorial(nu)))
-            )
-            b_part = b_cache.get(mu, nu)
-            if b_part.is_zero():
-                continue
-            u_part = terms[k].full
-            for i, a in enumerate(nu):
-                if a:
-                    u_part = u_part.diff(f"xi{i+1}", a)
-            for i, a in enumerate(mu):
-                if a:
-                    u_part = u_part.diff(f"x{i+1}", a)
-            res = res + (b_part * u_part).scale(scalar)
+        res = moyal_accumulate(res, [(b_cache, DerivCache(terms[j - l].full))], l)
     return res
 
 
 def heat_evaluate(terms: list, t: float, w: PhasePoint, cfg: CutoffConfig) -> complex:
     """Resummed heat-parametrix value sum_n (1 - chi_{n,R}(w)) u_n(t, w)."""
-    if t < 0:
-        raise InvalidParameter("t must be >= 0")
-    reg = terms[0].full.reg
-    env = w.env(reg)
-    env["t"] = float(t)
-    total = 0.0 + 0.0j
-    for term in terms:
-        total += (1.0 - cutoff_chi(term.j, cfg, w)) * complex(
-            term.full.evaluate_grid(env)
-        )
-    return complex(total)
+    return complex(heat_evaluate_grid(terms, t, w.env(terms[0].full.reg), cfg))
 
 
 def heat_evaluate_grid(terms: list, t: float, env: dict, cfg: CutoffConfig):
-    """Vectorised resummation over coordinate arrays (adds t to env)."""
-    from .fsring import cutoff_chi_grid
-
+    """Resummed heat-parametrix values sum_n (1 - chi_{n,R}) u_n(t, .) over
+    coordinate arrays (adds t to env); scalars give a 0-d result."""
+    if t < 0:
+        raise InvalidParameter("t must be >= 0")
     reg = terms[0].full.reg
     env = dict(env)
     env["t"] = float(t)
@@ -210,91 +162,55 @@ def bound_profile(
     def a_val(p: int) -> float:
         return math.exp(ws.log_m(p))
 
-    entries = []
-    exp_entries = []
-    pow_entries = []
-    envs = []
-    for w in grid:
-        env = w.env(reg)
-        envs.append((w, env))
+    def t_derivatives(f: SymExpr):
+        out = [f]
+        for _ in range(n_max):
+            out.append(out[-1].diff("t"))
+        return enumerate(out)
 
-    # heat-term ratios; the exponential atom is cancelled analytically so
-    # huge t * b values never underflow the quotient: the derivative has the
-    # form (poly) e^{-tb}, and the bound carries e^{-t/4 Re b}, leaving the
-    # harmless damping factor e^{-3t/4 Re b}.
-    for term in terms:
-        tcache = {0: term.full}
-        for n in range(1, n_max + 1):
-            tcache[n] = tcache[n - 1].diff("t")
-        for n in range(n_max + 1):
-            wcache = DerivCache(tcache[n])
+    def samples(series, t_values):
+        """(n, |alpha|, |D^alpha_w f_n|, b, <w>, t) for each (n, f_n) of
+        series, |alpha| <= alpha_max, grid point w and t in t_values.  The
+        exponential atom is dropped from each derivative: every bound
+        carries its own e^{-t Re b} factor, so it is cancelled analytically
+        and huge t * b values never underflow the quotient."""
+        points = []
+        for w in grid:
+            env = w.env(reg)
+            for t in t_values:
+                e = env | {"t": float(t)}
+                points.append((w.bracket(), t, e, complex(b_expr.evaluate_grid(e))))
+        for n, f in series:
+            cache = DerivCache(f)
             for order in range(alpha_max + 1):
                 for gamma in multi_indices(2 * d, order):
-                    de = wcache.get(gamma[:d], gamma[d:]).drop_exp()
-                    total_order = order + 2 * term.j
-                    aa = a_val(total_order)
-                    for w, env in envs:
-                        br = w.bracket()
-                        for t in t_grid:
-                            e = dict(env)
-                            e["t"] = float(t)
-                            re_b = complex(b_expr.evaluate_grid(e)).real
-                            val = abs(complex(de.evaluate_grid(e)))
-                            val *= math.exp(-0.75 * t * re_b)
-                            denom = (
-                                math.factorial(n)
-                                * aa
-                                * max(re_b, 1e-300) ** n
-                                * br ** (-rho * total_order)
-                            )
-                            entries.append((total_order, val / denom))
+                    de = cache.get(gamma[:d], gamma[d:]).drop_exp()
+                    for br, t, e, b in points:
+                        yield n, order, abs(complex(de.evaluate_grid(e))), b, br, t
 
-    # e^{-tb} companion bound (Faa di Bruno route); here e^{-t Re b}
-    # cancels exactly between the derivative and the bound
-    u0 = terms[0].full
-    tcache = {0: u0}
-    for n in range(1, n_max + 1):
-        tcache[n] = tcache[n - 1].diff("t")
-    for n in range(n_max + 1):
-        wcache = DerivCache(tcache[n])
-        for order in range(alpha_max + 1):
-            for gamma in multi_indices(2 * d, order):
-                de = wcache.get(gamma[:d], gamma[d:]).drop_exp()
-                aa = a_val(order)
-                for w, env in envs:
-                    br = w.bracket()
-                    for t in t_grid:
-                        e = dict(env)
-                        e["t"] = float(t)
-                        ab = abs(complex(b_expr.evaluate_grid(e)))
-                        weight = sum(
-                            (t**rr) * ab**rr / math.factorial(rr)
-                            for rr in range(order + 1)
-                        )
-                        denom = (
-                            2.0**n
-                            * aa
-                            * br ** (-rho * order)
-                            * max(ab, 1e-300) ** n
-                            * weight
-                        )
-                        val = abs(complex(de.evaluate_grid(e)))
-                        exp_entries.append((order, val / denom))
+    def heat_ratio(j, n, order, val, b, br, t):
+        # the bound's e^{-t/4 Re b} leaves the damping factor e^{-3t/4 Re b}
+        p = order + 2 * j
+        denom = math.factorial(n) * a_val(p) * max(b.real, 1e-300) ** n * br ** (-rho * p)
+        return p, val * math.exp(-0.75 * t * b.real) / denom
 
-    # b^n companion bound
-    for n in range(n_max + 1):
-        bn = reg.base(name, r * n) if n else reg.one()
-        wcache = DerivCache(bn)
-        for order in range(alpha_max + 1):
-            for gamma in multi_indices(2 * d, order):
-                de = wcache.get(gamma[:d], gamma[d:])
-                aa = a_val(order)
-                for w, env in envs:
-                    br = w.bracket()
-                    bv = abs(complex(b_expr.evaluate_grid(env | {"t": 0.0})))
-                    denom = 2.0**n * aa * br ** (-rho * order) * bv**n
-                    val = abs(complex(de.evaluate_grid(env | {"t": 0.0})))
-                    pow_entries.append((order, val / denom))
+    def exp_ratio(n, order, val, b, br, t):
+        # e^{-tb} companion bound (Faa di Bruno route)
+        ab = abs(b)
+        weight = sum((t**rr) * ab**rr / math.factorial(rr) for rr in range(order + 1))
+        denom = 2.0**n * a_val(order) * br ** (-rho * order) * max(ab, 1e-300) ** n * weight
+        return order, val / denom
+
+    def pow_ratio(n, order, val, b, br, t):
+        # b^n companion bound
+        return order, val / (2.0**n * a_val(order) * br ** (-rho * order) * abs(b) ** n)
+
+    entries = [
+        heat_ratio(term.j, *s) for term in terms for s in samples(t_derivatives(term.full), t_grid)
+    ]
+    exp_entries = [exp_ratio(*s) for s in samples(t_derivatives(terms[0].full), t_grid)]
+    powers = [(n, reg.base(name, r * n) if n else reg.one()) for n in range(n_max + 1)]
+    pow_entries = [pow_ratio(*s) for s in samples(powers, [0.0])]
 
     h, c = _fit_h_c(entries)
     eh, ec = _fit_h_c(exp_entries)

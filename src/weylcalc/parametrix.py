@@ -5,12 +5,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import DomainViolation, InvalidInput, InvalidParameter
-from .fsring import FormalSeries, canonical, sharp, unit_series
-from .qrat import QC, qc_ipow
-from .symalg import DerivCache, Registry, SymExpr, multi_factorial, multi_indices
+from .fsring import FormalSeries, canonical, moyal_accumulate, sharp, unit_series
+from .qrat import QC
+from .symalg import DerivCache, Registry, SymExpr, multi_indices
 from .weights import WeightSequence, associated_function
 
 
@@ -107,32 +106,15 @@ def _as_base_power_one(a: SymExpr) -> str:
 
 def _parametrix_terms(reg: Registry, base_name: str, N: int) -> list:
     """q_0 = base^-1 and the Weyl recursion
-    q_j = -q_0 * sum_{s=1..j} sum_{|alpha+beta|=s} (-1)^|beta|/(alpha!beta!2^s)
-          * d^alpha_xi D^beta_x q_{j-s} * d^beta_xi D^alpha_x base."""
-    d = reg.d
+    q_j = -q_0 * sum_{s=1..j} (order-s Moyal terms of the pair (q_{j-s}, base))."""
     q0 = reg.base(base_name, -1)
-    a_expr = reg.base(base_name, 1)
-    a_cache = DerivCache(a_expr)
+    a_cache = DerivCache(reg.base(base_name, 1))
     q_caches = [DerivCache(q0)]
     out = [q0]
     for j in range(1, N):
         acc = reg.zero()
         for s in range(1, j + 1):
-            pow2 = Fraction(1, 2**s)
-            for gamma in multi_indices(2 * d, s):
-                alpha, beta = gamma[:d], gamma[d:]
-                scalar = (
-                    QC((-1) ** sum(beta))
-                    * qc_ipow(s)
-                    * QC(pow2 / (multi_factorial(alpha) * multi_factorial(beta)))
-                )
-                left = q_caches[j - s].get(alpha, beta)
-                if left.is_zero():
-                    continue
-                right = a_cache.get(beta, alpha)
-                if right.is_zero():
-                    continue
-                acc = acc + (left * right).scale(scalar)
+            acc = moyal_accumulate(acc, [(q_caches[j - s], a_cache)], s)
         qj = -(q0 * acc)
         out.append(qj)
         q_caches.append(DerivCache(qj))

@@ -41,7 +41,7 @@ class HermiteOperator:
             raise InvalidInput("matrix must be square")
         self.matrix = m
         if self.hermitian_flag:
-            dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+            dev = self.hermiticity_deviation
             if dev > HERMITICITY_TOL:
                 raise InvalidInput(f"hermitian_flag set but max |A - A*| = {dev:.2e}")
 
@@ -49,11 +49,21 @@ class HermiteOperator:
     def n_basis(self) -> int:
         return self.matrix.shape[0]
 
+    @property
+    def hermiticity_deviation(self) -> float:
+        """max |A - A*| over the entries (0 for an empty matrix)."""
+        m = self.matrix
+        return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+
     @classmethod
     def wrap(cls, matrix, n_pad=None) -> "HermiteOperator":
-        m = np.asarray(matrix, dtype=complex)
-        dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-        return cls(m, n_pad=n_pad if n_pad is not None else m.shape[0], hermitian_flag=dev <= HERMITICITY_TOL)
+        """The operator of a matrix, flagged hermitian when its deviation is
+        within HERMITICITY_TOL; n_pad defaults to the matrix size."""
+        op = cls(matrix, n_pad=n_pad)
+        if op.n_pad is None:
+            op.n_pad = op.n_basis
+        op.hermitian_flag = op.hermiticity_deviation <= HERMITICITY_TOL
+        return op
 
 
 @dataclass
@@ -111,6 +121,8 @@ def quantize_poly(sigma: SymExpr, n_basis: int, n_pad: int | None = None) -> Her
     Each monomial x^m xi^n maps to the symmetric (Weyl) operator ordering,
     computed by the binomial interleaving formula
     2^-m sum_k C(m, k) X^k P^n X^(m-k) at padded dimension, then cropped."""
+    if n_basis < 1:
+        raise InvalidParameter("n_basis must be >= 1")
     reg = sigma.reg
     if reg.d != 1:
         raise UnsupportedSymbol("Hermite quantization is implemented for d = 1")
@@ -144,9 +156,7 @@ def quantize_poly(sigma: SymExpr, n_basis: int, n_pad: int | None = None) -> Her
         for k in range(m + 1):
             term += math.comb(m, k) * (x_pows[k] @ p_pows[n] @ x_pows[m - k])
         A += (c / 2**m) * term
-    crop = A[:n_basis, :n_basis]
-    dev = float(np.max(np.abs(crop - crop.conj().T)))
-    return HermiteOperator(crop, n_pad=n_pad, hermitian_flag=dev <= HERMITICITY_TOL)
+    return HermiteOperator.wrap(A[:n_basis, :n_basis], n_pad)
 
 
 def interior_indices(op: HermiteOperator, degree: int) -> range:
@@ -203,6 +213,8 @@ def quantize_general(
     the radial integral is Gauss-Legendre.  sigma_eval is a callable
     sigma_eval(X, XI) -> complex array (vectorised).
     """
+    if n_basis < 1:
+        raise InvalidParameter("n_basis must be >= 1")
     grid = grid or PolarGrid.for_basis(n_basis)
     r, wr, theta = grid.nodes()
     R, TH = np.meshgrid(r, theta, indexing="ij")
@@ -247,8 +259,7 @@ def quantize_general(
             AccuracyWarning,
             stacklevel=2,
         )
-    dev = float(np.max(np.abs(A - A.conj().T)))
-    return HermiteOperator(A, n_pad=n_basis, hermitian_flag=dev <= HERMITICITY_TOL)
+    return HermiteOperator.wrap(A)
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +276,7 @@ def matrix_function(op: HermiteOperator, f) -> HermiteOperator:
     except np.linalg.LinAlgError as e:  # pragma: no cover
         raise NumericalFailure(f"eigendecomposition failed: {e}") from e
     fw = np.asarray([f(val) for val in w], dtype=complex)
-    M = (V * fw[None, :]) @ V.conj().T
-    dev = float(np.max(np.abs(M - M.conj().T)))
-    return HermiteOperator(M, n_pad=op.n_pad, hermitian_flag=dev <= HERMITICITY_TOL)
+    return HermiteOperator.wrap((V * fw[None, :]) @ V.conj().T, op.n_pad)
 
 
 def balakrishnan_matrix(
@@ -328,9 +337,7 @@ def balakrishnan_matrix(
     # identity-like block at 0 and decays like lambda^-k at infinity
     total += first * (np.exp(z * u[0]) / z)
     total += last * (np.exp(z * u[-1]) / (k - z))
-    M = gamma_k(z, k) * total
-    dev = float(np.max(np.abs(M - M.conj().T)))
-    return HermiteOperator(M, n_pad=op.n_pad, hermitian_flag=dev <= HERMITICITY_TOL)
+    return HermiteOperator.wrap(gamma_k(z, k) * total, op.n_pad)
 
 
 def spectral_compare(A: HermiteOperator, B: HermiteOperator, state_range) -> SpectralReport:

@@ -185,6 +185,20 @@ class Registry:
             self._base_pow_cache[key] = out
         return out
 
+    def base_value(self, name: str, env: dict):
+        """Numeric value of a base polynomial; env maps variable names to
+        scalars or numpy arrays (broadcastable)."""
+        v = 0.0
+        for m, c in self.base_poly(name).items():
+            term = float(c.re)
+            for i, e in enumerate(m):
+                if e:
+                    if self.names[i] not in env:
+                        raise InvalidInput(f"missing value for {self.names[i]}")
+                    term = term * np.asarray(env[self.names[i]], dtype=float) ** e
+            v = v + term
+        return np.asarray(v, dtype=float)
+
     def find_base(self, poly: "SymExpr | dict") -> str | None:
         pd = poly.as_poly_dict() if isinstance(poly, SymExpr) else poly
         for name, bp in self._bases.items():
@@ -641,17 +655,7 @@ class SymExpr:
         def base_val(name):
             v = base_cache.get(name)
             if v is None:
-                v = 0.0
-                for m, c in reg.base_poly(name).items():
-                    term = float(c.re)
-                    for i, e in enumerate(m):
-                        if e:
-                            if vals[i] is None:
-                                raise InvalidInput(f"missing value for {reg.names[i]}")
-                            term = term * vals[i] ** e
-                    v = v + term
-                v = np.asarray(v, dtype=float)
-                base_cache[name] = v
+                v = base_cache[name] = reg.base_value(name, env)
             return v
 
         def base_pow(name, r):
@@ -774,18 +778,6 @@ def multi_factorial(alpha) -> int:
     out = 1
     for a in alpha:
         out *= math.factorial(a)
-    return out
-
-
-def deriv_xi_x(e: SymExpr, alpha, beta) -> SymExpr:
-    """d^alpha_xi d^beta_x e for multi-indices alpha, beta in N^d."""
-    out = e
-    for i, a in enumerate(alpha):
-        if a:
-            out = out.diff(f"xi{i+1}", a)
-    for i, b in enumerate(beta):
-        if b:
-            out = out.diff(f"x{i+1}", b)
     return out
 
 

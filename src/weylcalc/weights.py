@@ -116,13 +116,20 @@ def from_values(values, sigma=None) -> WeightSequence:
 def load_weight_table(path) -> WeightSequence:
     """Load a two-column text file of rows ``p  ln M_p``."""
     rows = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as e:
+        raise InvalidInput(f"cannot read weight table {path}: {e}") from None
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
             p_str, v_str = line.split()[:2]
             rows[int(p_str)] = float(v_str)
+        except ValueError:
+            raise InvalidInput(f"malformed weight table row {line!r}") from None
     if not rows or set(rows) != set(range(max(rows) + 1)):
         raise InvalidInput("table must cover p = 0 .. p_max without gaps")
     return WeightSequence(tuple(rows[p] for p in range(max(rows) + 1)))

@@ -4,8 +4,9 @@ import pytest
 
 from weylcalc.cli import main
 from weylcalc.fsring import canonical, sharp
+from weylcalc.quant import quantize_poly
 from weylcalc.symalg import Registry
-from weylcalc.textio import dump_series, dump_symexpr, load_series
+from weylcalc.textio import dump_operator, dump_series, dump_symexpr, load_series
 
 
 @pytest.fixture
@@ -279,3 +280,51 @@ class TestConfig:
         rc, _ = self.run_power(tmp_path, config_text)
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: InvalidInput:")
+
+
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            pytest.param("check-weights --weights {missing}", "InvalidInput", id="check-weights-missing-file"),
+            pytest.param("sharp --series-a {missing} --series-b {series}", "InvalidInput", id="sharp-missing-file"),
+            pytest.param("requantize --series {series} --tau x --tau1 1/2", "InvalidInput", id="requantize-tau-not-a-number"),
+            pytest.param("requantize --series {series} --tau 1/0 --tau1 1/2", "InvalidInput", id="requantize-tau-zero-denominator"),
+            pytest.param("parametrix --symbol {missing}", "InvalidInput", id="parametrix-missing-file"),
+            pytest.param("parametrix --symbol {osc} --profile-points {bad_points}", "InvalidInput", id="parametrix-bad-points-cell"),
+            pytest.param("complex-power --symbol {a0} --z half --order 2 --points {points}", "InvalidInput", id="complex-power-z-not-a-number"),
+            pytest.param("complex-power --symbol {a0} --z 0.5 --order 2 --points {bad_points}", "InvalidInput", id="complex-power-bad-points-cell"),
+            pytest.param("heat --symbol {b} --order 2 --t-grid 0,x --points {points}", "InvalidInput", id="heat-t-grid-not-a-number"),
+            pytest.param("quantize --symbol {osc} --basis -3 --general", "InvalidParameter", id="quantize-negative-basis"),
+            pytest.param("spectral-compare --a {op} --b {missing} --range 0,3", "InvalidInput", id="spectral-compare-missing-file"),
+            pytest.param("spectral-compare --a {op} --b {op} --range 0,x", "InvalidInput", id="spectral-compare-range-not-a-number"),
+            pytest.param("validate-power --basis 4", "InvalidParameter", id="validate-power-basis-too-small"),
+            pytest.param("validate-sqrt --basis 8 --t x", "InvalidInput", id="validate-sqrt-t-not-a-number"),
+        ],
+    )
+    def test_exits_1_with_one_typed_error_line(
+        self, tmp_path, capsys, osc_symbol_file, resolvent_symbol_file, heat_symbol_file, points_file, argv, error
+    ):
+        reg = Registry(1)
+        series = tmp_path / "a.series"
+        series.write_text(dump_series(canonical(reg.var("x1"), 2)))
+        bad_points = tmp_path / "bad.csv"
+        bad_points.write_text("x,xi\n1.0,abc\n")
+        op = tmp_path / "osc.wcop"
+        op.write_bytes(dump_operator(quantize_poly(reg.parse("x1^2 + xi1^2"), 4)))
+        files = {
+            "missing": tmp_path / "missing.txt",
+            "series": series,
+            "osc": osc_symbol_file,
+            "a0": resolvent_symbol_file,
+            "b": heat_symbol_file,
+            "points": points_file,
+            "bad_points": bad_points,
+            "op": op,
+        }
+        argv = [a.format(**files) for a in argv.split()]
+        rc = main([*argv, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {error}: ")

@@ -7,7 +7,6 @@ import pytest
 
 from weylcalc.cpow import (
     PowerEvaluator,
-    Quadrature2D,
     gamma_complex,
     gamma_k,
     positivize,

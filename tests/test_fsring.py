@@ -11,6 +11,8 @@ from weylcalc.fsring import (
     canonical,
     change_quantization,
     cutoff_chi,
+    cutoff_chi_grid,
+    moyal_coefficients,
     resum_evaluate,
     sharp,
     sharp_power,
@@ -236,6 +238,19 @@ class TestChangeQuantization:
         assert (back - A).is_zero()
 
 
+class TestMoyalKernel:
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("l", range(5))
+    def test_one_entry_per_multi_index(self, d, l):
+        coeffs = moyal_coefficients(d, l)
+        assert len(coeffs) == math.comb(2 * d + l - 1, l)
+        assert len({(alpha, beta) for alpha, beta, _ in coeffs}) == len(coeffs)
+
+    def test_first_order_is_the_poisson_bracket(self):
+        coeffs = {(alpha, beta): c for alpha, beta, c in moyal_coefficients(1, 1)}
+        assert coeffs == {((1,), (0,)): QC(0, Fraction(-1, 2)), ((0,), (1,)): QC(0, Fraction(1, 2))}
+
+
 class TestCutoffs:
     def cfg(self, R=4.0):
         return CutoffConfig.from_weights(make_gevrey(1.0, 20), R=R)
@@ -267,6 +282,15 @@ class TestCutoffs:
         cfg = self.cfg()
         vals = [cutoff_chi(2, cfg, PhasePoint((float(s),), (0.0,))) for s in np.linspace(0, 40, 201)]
         assert all(vals[i + 1] <= vals[i] + 1e-12 for i in range(len(vals) - 1))
+
+    def test_pointwise_equals_grid_exactly(self):
+        cfg = CutoffConfig.from_weights(make_gevrey(1.0, 20), R=1.4)
+        xs = np.array([0.0, 0.7, 1.9, 2.5, 3.3, 4.1, 8.0])
+        xis = np.array([0.0, -1.2, 2.6, 0.3, -3.0, 1.0, 0.5])
+        for n in range(5):
+            grid = cutoff_chi_grid(n, cfg, [xs], [xis])
+            points = [cutoff_chi(n, cfg, PhasePoint((x,), (xi,))) for x, xi in zip(xs, xis)]
+            assert list(grid) == points
 
 
 class TestResum:

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from weylcalc.errors import UnsupportedSymbol
@@ -11,6 +12,7 @@ from weylcalc.heat import (
     faa_di_bruno_partitions,
     faa_di_bruno_weight_sum,
     heat_evaluate,
+    heat_evaluate_grid,
     heat_terms,
     pde_residual,
 )
@@ -168,6 +170,16 @@ class TestHeatEvaluate:
             abs(complex(term.full.evaluate_grid(env))) for term in terms[1:]
         )
         assert abs(val - partial) <= 2.0 * damped + 1e-12
+
+    def test_pointwise_equals_grid_exactly(self):
+        reg = sqrt_reg()
+        terms = heat_terms(reg.base("a0", Fraction(1, 2)), 4)
+        xs = np.array([0.0, 0.7, 1.9, 2.5, 3.3, 8.0])
+        xis = np.array([0.0, -1.2, 2.6, 0.3, -3.0, 0.5])
+        for t in (0.0, 0.5, 2.0):
+            grid = heat_evaluate_grid(terms, t, {"x1": xs, "xi1": xis}, self.cfg())
+            points = [heat_evaluate(terms, t, PhasePoint((x,), (xi,)), self.cfg()) for x, xi in zip(xs, xis)]
+            assert list(grid) == points
 
 
 class TestBoundProfile:
