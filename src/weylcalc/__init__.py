@@ -22,10 +22,8 @@ from .symalg import PhasePoint, Registry, SymExpr
 from .fsring import CutoffConfig, FormalSeries, canonical, change_quantization, cutoff_chi, resum_evaluate, sharp, sharp_power, unit_series
 from .weights import (
     ConditionReport,
-    SubordinateSequence,
     WeightSequence,
     associated_function,
-    associated_function_shifted,
     check_conditions,
     load_weight_table,
     make_gevrey,
@@ -46,12 +44,10 @@ __all__ = [
     "cutoff_chi",
     "resum_evaluate",
     "WeightSequence",
-    "SubordinateSequence",
     "ConditionReport",
     "make_gevrey",
     "check_conditions",
     "associated_function",
-    "associated_function_shifted",
     "load_weight_table",
     "WeylcalcError",
     "InvalidParameter",

@@ -49,12 +49,17 @@ def _json_dump(obj) -> str:
 
 
 def _write(out_dir: Path, name: str, payload):
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Write payload to out_dir/name; an output path that cannot be
+    created or written raises InvalidInput."""
     path = out_dir / name
-    if isinstance(payload, bytes):
-        path.write_bytes(payload)
-    else:
-        path.write_text(payload)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        if isinstance(payload, bytes):
+            path.write_bytes(payload)
+        else:
+            path.write_text(payload)
+    except OSError as e:
+        raise InvalidInput(f"cannot write {path}: {e}") from None
     return path
 
 

@@ -185,50 +185,6 @@ def quad_halfline(f, z: complex, quad: QuadratureScheme | None = None) -> QuadRe
 
 
 # ---------------------------------------------------------------------------
-# positivization
-# ---------------------------------------------------------------------------
-
-
-def positivize(a: SymExpr, grid) -> tuple:
-    """Shift a by the smallest c in {0, 1, 2, 4, ...} making min Re a + c > 0
-    on the grid.  A constant shift stands in for the compactly supported
-    positivizer; the sector condition Re a > -B |Im a| is required on the
-    far half of the grid."""
-    reg = a.reg
-    envs = [w.env(reg) for w in grid]
-    vals = [complex(a.evaluate_grid(env)) for env in envs]
-    brackets = [w.bracket() for w in grid]
-    far = sorted(brackets)[len(brackets) // 2]
-    for w, v in zip(grid, vals):
-        if w.bracket() >= far and v.real < 0 and abs(v.imag) < 1e-300:
-            raise UnsupportedSymbol(
-                "sector condition Re a > -B |Im a| fails at large |w|"
-            )
-    min_re = min(v.real for v in vals)
-    if min_re > 0:
-        return a, 0.0
-    shift = 1
-    while min_re + shift <= 0:
-        shift *= 2
-    return a + reg.const(shift), float(shift)
-
-
-def sector_constant(a0: SymExpr, grid) -> float:
-    """Smallest B >= 0 with Re a0 > -B |Im a0| on the grid (inf if violated
-    at a real-valued point)."""
-    reg = a0.reg
-    b = 0.0
-    for w in grid:
-        v = complex(a0.evaluate_grid(w.env(reg)))
-        if v.real >= 0:
-            continue
-        if abs(v.imag) == 0.0:
-            return float("inf")
-        b = max(b, -v.real / abs(v.imag))
-    return b
-
-
-# ---------------------------------------------------------------------------
 # the power coefficients p_{z,j}
 # ---------------------------------------------------------------------------
 

@@ -13,7 +13,6 @@ from .errors import InvalidInput, InvalidParameter
 from .qrat import QC, qc_ipow
 from .symalg import DerivCache, PhasePoint, Registry, SymExpr, multi_factorial, multi_indices
 
-DEFAULT_ORDER = 6
 DEFAULT_R = 4.0
 
 
@@ -245,8 +244,6 @@ class CutoffConfig:
 
     R: float = DEFAULT_R
     m_values: list = field(default_factory=lambda: [0.0, 1.0])
-    bump_inner: float = 2.0
-    bump_outer: float = 3.0
 
     def __post_init__(self):
         if self.R <= 0:
@@ -285,25 +282,10 @@ def cutoff_chi_grid(n: int, cfg: CutoffConfig, x_arrays, xi_arrays):
     return _psi_profile(ux) * _psi_profile(uxi)
 
 
-def resum_evaluate(A: FormalSeries, cfg: CutoffConfig, w: PhasePoint, strategy: str = "cutoff"):
-    """Evaluate the resummed series at w.
-
-    cutoff:        sum_j (1 - chi_{j,R}(w)) a_j(w)
-    smallest-term: sum the terms while |a_j(w)| strictly decreases and stop
-                   at the first upturn (classic first-minimum truncation).
-    """
+def resum_evaluate(A: FormalSeries, cfg: CutoffConfig, w: PhasePoint) -> complex:
+    """The resummed series at w: sum_j (1 - chi_{j,R}(w)) a_j(w)."""
     env = w.env(A.reg)
-    vals = [t.evaluate_grid(env) for t in A.terms]
-    if strategy == "cutoff":
-        total = 0.0 + 0.0j
-        for j, v in enumerate(vals):
-            total += (1.0 - cutoff_chi(j, cfg, w)) * v
-        return complex(total)
-    if strategy == "smallest-term":
-        n_star = A.order
-        for j in range(1, A.order):
-            if abs(vals[j]) >= abs(vals[j - 1]):
-                n_star = j
-                break
-        return complex(sum(vals[:n_star]))
-    raise InvalidParameter(f"unknown strategy {strategy!r}")
+    total = 0.0 + 0.0j
+    for j, t in enumerate(A.terms):
+        total += (1.0 - cutoff_chi(j, cfg, w)) * t.evaluate_grid(env)
+    return complex(total)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InvalidParameter, UnsupportedSymbol
 from .fsring import CutoffConfig, cutoff_chi_grid, moyal_accumulate
@@ -29,9 +29,6 @@ class HeatTerm:
     j: int
     Q: SymExpr
     full: SymExpr
-
-    def at_t0_value(self) -> SymExpr:
-        return self.Q.subs_scalar("t", 0)
 
 
 def _resolve_heat_base(b: SymExpr):
@@ -140,7 +137,6 @@ class HeatBoundProfile:
     pow_C: float
     pow_h: float
     samples: int = 0
-    details: dict = field(default_factory=dict)
 
 
 def bound_profile(

@@ -89,13 +89,6 @@ class SpectralReport:
     def max_error(self) -> float:
         return max(self.per_state) if self.per_state else 0.0
 
-    @property
-    def median_error(self) -> float:
-        if not self.per_state:
-            return 0.0
-        s = sorted(self.per_state)
-        return s[len(s) // 2]
-
 
 # ---------------------------------------------------------------------------
 # ladder matrices and polynomial quantization
@@ -157,11 +150,6 @@ def quantize_poly(sigma: SymExpr, n_basis: int, n_pad: int | None = None) -> Her
             term += math.comb(m, k) * (x_pows[k] @ p_pows[n] @ x_pows[m - k])
         A += (c / 2**m) * term
     return HermiteOperator.wrap(A[:n_basis, :n_basis], n_pad)
-
-
-def interior_indices(op: HermiteOperator, degree: int) -> range:
-    """Indices unaffected by the padding crop for a degree-g polynomial."""
-    return range(0, max(0, op.n_basis - 2 * degree))
 
 
 # ---------------------------------------------------------------------------
@@ -249,13 +237,15 @@ def quantize_general(
             A[m, n] = np.sum(wrad * mode_plus)
             if q:
                 A[n, m] = np.sum(wrad * mode_minus)
+            # the tail test sees only the radial kernel, never sigma: it
+            # flags a grid whose r_max is too small for this basis
             if not tail_flag:
                 envelope = np.abs(wrad)
                 if envelope[-1] > 1e-8 * max(float(np.max(envelope)), 1e-300):
                     tail_flag = True
     if tail_flag:
         warnings.warn(
-            "polar quadrature window may be too small for this symbol",
+            f"polar grid r_max = {grid.r_max:g} may be too small for n_basis = {n_basis}",
             AccuracyWarning,
             stacklevel=2,
         )

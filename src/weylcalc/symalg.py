@@ -28,9 +28,12 @@ from .errors import (
     InvalidParameter,
     UnsupportedOperation,
 )
-from .qrat import QC, QC_ONE, qc_ipow
+from .qrat import QC, QC_ONE
 
 MAX_POWER_DENOMINATOR = 64
+
+# seeded random points on which a registered base must be positive
+N_POSITIVITY_CHECK = 200
 
 
 def _check_exponent(r: Fraction) -> Fraction:
@@ -65,6 +68,21 @@ def _poly_pow(p: dict, n: int, nvars: int) -> dict:
     for _ in range(n):
         out = _poly_mul(out, p)
     return out
+
+
+def _poly_value(p: dict, names: tuple, env: dict):
+    """Float value of a real polynomial; env maps the variable names to
+    scalars or numpy arrays (broadcastable)."""
+    v = 0.0
+    for m, c in p.items():
+        term = float(c.re)
+        for i, e in enumerate(m):
+            if e:
+                if names[i] not in env:
+                    raise InvalidInput(f"missing value for {names[i]}")
+                term = term * np.asarray(env[names[i]], dtype=float) ** e
+        v = v + term
+    return np.asarray(v, dtype=float)
 
 
 def _poly_diff(p: dict, idx: int) -> dict:
@@ -125,7 +143,7 @@ class Registry:
         return (0,) * self.nvars
 
     # -- bases -----------------------------------------------------------
-    def register_base(self, name: str, poly: "SymExpr | dict", n_check: int = 200):
+    def register_base(self, name: str, poly: "SymExpr | dict"):
         if name in self._bases:
             raise InvalidInput(f"base name {name!r} already registered")
         if name in self.index:
@@ -141,31 +159,22 @@ class Registry:
                 raise InvalidInput("bases may not involve t")
             if not c.is_real:
                 raise InvalidInput("base polynomials must have real coefficients")
-        self._spot_check_positive(name, pd, n_check)
+        self._spot_check_positive(name, pd)
         self._bases[name] = pd
         self._base_diffs[name] = {
             i: _poly_diff(pd, i) for i in range(self.nvars)
         }
         return self
 
-    def _spot_check_positive(self, name, pd, n_check):
+    def _spot_check_positive(self, name, pd):
+        # bases never involve t, so t takes no draw
         rng = np.random.default_rng(self.seed)
         env = {}
-        for i, n in enumerate(self.names):
-            if n == "t":
-                env[i] = np.zeros(n_check)
-            elif n in self.params:
-                env[i] = rng.uniform(0.0, 10.0, n_check)
-            else:
-                env[i] = rng.uniform(-10.0, 10.0, n_check)
-        vals = np.zeros(n_check)
-        for m, c in pd.items():
-            term = np.full(n_check, float(c.re))
-            for i, e in enumerate(m):
-                if e:
-                    term = term * env[i] ** e
-            vals += term
-        if np.any(vals <= 1e-12):
+        for n in self.names:
+            if n != "t":
+                lo = 0.0 if n in self.params else -10.0
+                env[n] = rng.uniform(lo, 10.0, N_POSITIVITY_CHECK)
+        if np.any(_poly_value(pd, self.names, env) <= 1e-12):
             raise InvalidParameter(f"base {name!r} failed the positivity spot check")
 
     def base_poly(self, name: str) -> dict:
@@ -188,16 +197,7 @@ class Registry:
     def base_value(self, name: str, env: dict):
         """Numeric value of a base polynomial; env maps variable names to
         scalars or numpy arrays (broadcastable)."""
-        v = 0.0
-        for m, c in self.base_poly(name).items():
-            term = float(c.re)
-            for i, e in enumerate(m):
-                if e:
-                    if self.names[i] not in env:
-                        raise InvalidInput(f"missing value for {self.names[i]}")
-                    term = term * np.asarray(env[self.names[i]], dtype=float) ** e
-            v = v + term
-        return np.asarray(v, dtype=float)
+        return _poly_value(self.base_poly(name), self.names, env)
 
     def find_base(self, poly: "SymExpr | dict") -> str | None:
         pd = poly.as_poly_dict() if isinstance(poly, SymExpr) else poly
@@ -267,7 +267,6 @@ class PhasePoint:
     xi: tuple
     lam: float | None = None
     t: float | None = None
-    extra: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "x", tuple(float(v) for v in self.x))
@@ -288,8 +287,6 @@ class PhasePoint:
             out["lam"] = float(self.lam)
         if self.t is not None:
             out["t"] = float(self.t)
-        for k, v in self.extra:
-            out[k] = float(v)
         return out
 
     def bracket(self) -> float:
@@ -487,17 +484,7 @@ class SymExpr:
                             acc((tuple(m2), p2, True), base_c * dc)
         return SymExpr(reg, out)
 
-    def dop(self, var: str, order: int = 1) -> "SymExpr":
-        """D = -i d/dvar, applied ``order`` times."""
-        out = self.diff(var, order)
-        if order % 4:
-            out = out.scale(qc_ipow(order))
-        return out
-
     # -- exp-atom manipulation (closure helpers for the heat recursion) ------
-    def has_exp(self) -> bool:
-        return any(k[2] for k in self.terms)
-
     def drop_exp(self) -> "SymExpr":
         """Multiply by exp(+t B^s): clear the exponential flag on every term."""
         out: dict = {}

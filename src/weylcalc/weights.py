@@ -52,21 +52,6 @@ class WeightSequence:
         return [math.exp(lv[p] - lv[p - 1]) for p in range(1, len(lv))]
 
 
-@dataclass(frozen=True)
-class SubordinateSequence:
-    """Tabulated positive r_p, monotonically increasing (to infinity)."""
-
-    r_values: tuple
-
-    def __post_init__(self):
-        rv = tuple(float(v) for v in self.r_values)
-        object.__setattr__(self, "r_values", rv)
-        if not rv or any(v <= 0 for v in rv):
-            raise InvalidInput("r_p must be positive")
-        if any(rv[i] > rv[i + 1] for i in range(len(rv) - 1)):
-            raise InvalidInput("r_p must be non-decreasing")
-
-
 @dataclass
 class ConditionReport:
     holds_M1: bool
@@ -260,31 +245,3 @@ def associated_function(ws: WeightSequence, rho: float, with_info: bool = False)
         return best, argmax, boundary
     return best
 
-
-def associated_function_shifted(
-    ws: WeightSequence, r: SubordinateSequence, rho: float, with_info: bool = False
-):
-    """N_{r_p}(rho) = max_p ln_+ (rho**p / (M_p prod_{j<=p} r_j)); empty product 1."""
-    if rho <= 0:
-        raise InvalidParameter("rho must be positive")
-    if len(r.r_values) < ws.p_max:
-        raise InvalidInput("subordinate sequence must be tabulated to p_max")
-    lr = math.log(rho)
-    best, argmax = 0.0, 0
-    log_prod = 0.0
-    for p, lm in enumerate(ws.log_values):
-        if p >= 1:
-            log_prod += math.log(r.r_values[p - 1])
-        v = p * lr - lm - log_prod
-        if v > best:
-            best, argmax = v, p
-    boundary = argmax == ws.p_max
-    if boundary:
-        warnings.warn(
-            f"shifted associated function argmax hit p_max={ws.p_max}; result unreliable",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    if with_info:
-        return best, argmax, boundary
-    return best

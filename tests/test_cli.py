@@ -287,6 +287,7 @@ class TestBadInput:
         "argv, error",
         [
             pytest.param("check-weights --weights {missing}", "InvalidInput", id="check-weights-missing-file"),
+            pytest.param("check-weights --gevrey 2 --pmax 40 --out {series}", "InvalidInput", id="check-weights-out-is-a-file"),
             pytest.param("sharp --series-a {missing} --series-b {series}", "InvalidInput", id="sharp-missing-file"),
             pytest.param("requantize --series {series} --tau x --tau1 1/2", "InvalidInput", id="requantize-tau-not-a-number"),
             pytest.param("requantize --series {series} --tau 1/0 --tau1 1/2", "InvalidInput", id="requantize-tau-zero-denominator"),
@@ -323,7 +324,9 @@ class TestBadInput:
             "op": op,
         }
         argv = [a.format(**files) for a in argv.split()]
-        rc = main([*argv, "--out", str(tmp_path / "out")])
+        if "--out" not in argv:
+            argv += ["--out", str(tmp_path / "out")]
+        rc = main(argv)
         err = capsys.readouterr().err
         assert rc == 1
         assert len(err.splitlines()) == 1

@@ -9,12 +9,10 @@ from weylcalc.cpow import (
     PowerEvaluator,
     gamma_complex,
     gamma_k,
-    positivize,
     power_coefficient,
     power_series_eval,
     power_series_eval_grid,
     quad_halfline,
-    sector_constant,
     two_var_identity_check,
 )
 from weylcalc.errors import InvalidParameter, UnsupportedSymbol
@@ -98,40 +96,6 @@ class TestQuadHalfline:
     def test_error_estimate_reported(self):
         res = quad_halfline(lambda lam: 1.0 / (1.0 + lam) ** 2, 0.7)
         assert math.isfinite(res.error)
-
-
-class TestPositivize:
-    def grid(self):
-        pts = []
-        for r in (0.0, 1.0, 3.0, 8.0):
-            for ang in (0.0, 1.0, 2.5, 4.0):
-                pts.append(PhasePoint((r * math.cos(ang),), (r * math.sin(ang),)))
-        return pts
-
-    def test_already_positive_unchanged(self):
-        reg = power_reg()
-        a = reg.parse("1 + x1^2 + xi1^2")
-        out, shift = positivize(a, self.grid())
-        assert shift == 0.0
-        assert (out - a).is_zero()
-
-    def test_shift_power_of_two(self):
-        reg = Registry(1)
-        a = reg.parse("x1^2 + xi1^2 - 3")
-        out, shift = positivize(a, self.grid())
-        assert shift == 4.0
-        assert (out - (a + reg.const(4))).is_zero()
-
-    def test_sector_constant_reported(self):
-        reg = Registry(1)
-        a0 = reg.parse("1 + x1^2 + xi1^2")
-        assert sector_constant(a0, self.grid()) == 0.0
-
-    def test_sector_violation_rejected(self):
-        reg = Registry(1)
-        a = reg.parse("0 - x1^2 - xi1^2")  # real, negative at large |w|
-        with pytest.raises(UnsupportedSymbol):
-            positivize(a, self.grid())
 
 
 class TestPowerCoefficients:

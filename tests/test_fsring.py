@@ -301,14 +301,13 @@ class TestResum:
         reg = plain_reg()
         A = FormalSeries([reg.parse("1 + x1^2")])
         w = PhasePoint((2.0,), (0.5,))
-        for strat in ("cutoff", "smallest-term"):
-            assert resum_evaluate(A, self.cfg(), w, strat) == pytest.approx(5.0)
+        assert resum_evaluate(A, self.cfg(), w) == pytest.approx(5.0)
 
     def test_origin_cutoff_keeps_leading_term_only(self):
         reg = plain_reg()
         A = FormalSeries([reg.const(7), reg.const(100), reg.const(-50)])
         w = PhasePoint((0.0,), (0.0,))
-        assert resum_evaluate(A, self.cfg(), w, "cutoff") == pytest.approx(7.0)
+        assert resum_evaluate(A, self.cfg(), w) == pytest.approx(7.0)
 
     def test_parametrix_remainder_bound(self):
         # resummed parametrix of a = 1 + x^2 + xi^2 at <w> = 10 is within
@@ -319,17 +318,10 @@ class TestResum:
         q = parametrix(a, 3)
         x = math.sqrt((10.0**2 - 1.0) / 2.0)
         w = PhasePoint((x,), (x,))
-        val = resum_evaluate(q, self.cfg(), w, "cutoff")
+        val = resum_evaluate(q, self.cfg(), w)
         target = 1.0 / (1.0 + 2 * x * x)
         bound = 2.0 * abs(q[2].evaluate(w))
         assert abs(val - target) <= bound
-
-    def test_smallest_term_truncation(self):
-        reg = plain_reg()
-        A = FormalSeries([reg.const(8), reg.const(4), reg.const(2), reg.const(3)])
-        w = PhasePoint((0.0,), (0.0,))
-        # magnitudes 8, 4, 2, 3: first upturn at j = 3, so sum 8 + 4 + 2
-        assert resum_evaluate(A, self.cfg(), w, "smallest-term") == pytest.approx(14.0)
 
     def test_r_insensitivity_at_large_w(self):
         # far out, the resummed parametrix varies across R in {2, 4, 8} by no
@@ -338,7 +330,7 @@ class TestResum:
         reg.register_base("a", reg.parse("1 + x1^2 + xi1^2"))
         q = parametrix(reg.base("a"), 4)
         w = PhasePoint((12.0,), (9.0,))
-        vals = [resum_evaluate(q, self.cfg(R), w, "cutoff") for R in (2.0, 4.0, 8.0)]
+        vals = [resum_evaluate(q, self.cfg(R), w) for R in (2.0, 4.0, 8.0)]
         scale = max(abs(q[j].evaluate(w)) for j in (1, 2, 3))
         for v in vals[1:]:
             assert abs(v - vals[0]) <= 2.0 * scale

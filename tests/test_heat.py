@@ -78,9 +78,9 @@ class TestHeatTerms:
     def test_initial_conditions(self):
         reg = quadratic_reg()
         terms = heat_terms(reg.base("b"), 4)
-        assert (terms[0].at_t0_value() - reg.one()).is_zero()
+        assert (terms[0].Q.subs_scalar("t", 0) - reg.one()).is_zero()
         for j in (1, 2, 3):
-            assert terms[j].at_t0_value().is_zero()
+            assert terms[j].Q.subs_scalar("t", 0).is_zero()
 
     def test_real_symbol_gives_real_terms(self):
         for make in (quadratic_reg, sqrt_reg):

@@ -4,9 +4,7 @@ import pytest
 
 from weylcalc.errors import InvalidParameter
 from weylcalc.weights import (
-    SubordinateSequence,
     associated_function,
-    associated_function_shifted,
     check_conditions,
     from_values,
     load_weight_table,
@@ -145,46 +143,6 @@ class TestAssociatedFunction:
             associated_function(ws, 0.0)
         with pytest.raises(InvalidParameter):
             associated_function(ws, -2.0)
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-class TestShifted:
-    def test_minimal_increase_below_plain(self):
-        p_max = 60
-        ws = make_gevrey(1.0, p_max)
-        r = SubordinateSequence(tuple(1.0 + p / p_max for p in range(1, p_max + 1)))
-        for rho in (0.5, 2.0, 10.0, 1e3):
-            assert associated_function_shifted(ws, r, rho) <= associated_function(ws, rho) + 1e-12
-
-    def test_rp_equals_p_gives_factorial_squared(self):
-        p_max = 60
-        ws = make_gevrey(1.0, p_max)
-        ws2 = make_gevrey(2.0, p_max)
-        r = SubordinateSequence(tuple(float(p) for p in range(1, p_max + 1)))
-        for rho in (2.0, 10.0, 50.0):
-            a = associated_function_shifted(ws, r, rho)
-            b = associated_function(ws2, rho)
-            assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_dominated_by_scaled_plain(self):
-        # N_{r_p}(rho) <= M(2 rho) for rho beyond some rho_0, found by scan
-        # (the top of the scan hits the tabulation boundary; both sides are
-        # truncated sups so the comparison stays meaningful)
-        p_max = 120
-        ws = make_gevrey(1.0, p_max)
-        r = SubordinateSequence(tuple(1.0 + math.log1p(p) for p in range(1, p_max + 1)))
-        rho_0 = None
-        rhos = [10 ** (i / 8.0) for i in range(49)]  # 1 .. 1e6
-        for rho in rhos:
-            lhs = associated_function_shifted(ws, r, rho)
-            rhs = associated_function(ws, 2.0 * rho)
-            if lhs <= rhs + 1e-12:
-                if rho_0 is None:
-                    rho_0 = rho
-            else:
-                rho_0 = None
-        assert rho_0 is not None
 
 
 class TestSequenceLemmas:
