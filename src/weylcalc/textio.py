@@ -18,7 +18,7 @@ from .errors import InvalidInput
 from .fsring import FormalSeries
 from .qrat import QC
 from .quant import HermiteOperator
-from .symalg import Registry, SymExpr
+from .symalg import Registry, SymExpr, _check_exponent
 
 SYM_MAGIC = "WCSYM 1"
 SER_MAGIC = "WCSER 1"
@@ -75,7 +75,12 @@ def _parse_term_line(reg: Registry, line: str):
             if not sep:
                 raise InvalidInput(f"malformed base power {chunk!r}")
             reg.base_poly(name)  # raises InvalidInput for an unknown base
-            pl.append((name, _parse_frac(r)))
+            r = _check_exponent(_parse_frac(r))
+            if r == 0:
+                raise InvalidInput(f"zero exponent in base power {chunk!r}")
+            if any(name == seen for seen, _ in pl):
+                raise InvalidInput(f"base {name!r} repeats in {pow_field!r}")
+            pl.append((name, r))
         powers = tuple(sorted(pl))
     expf = bool(_parse_int(parts[3].strip()))
     if expf and reg.exp_base is None:

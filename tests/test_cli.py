@@ -2,6 +2,7 @@ import json
 import math
 import pytest
 
+from weylcalc import cli
 from weylcalc.cli import main
 from weylcalc.fsring import canonical, sharp
 from weylcalc.quant import quantize_poly
@@ -221,6 +222,20 @@ class TestNumericCommands:
         assert rc == 0
         rep = json.loads((out2 / "validate_sqrt.json").read_text())
         assert rep["identity_at_t0_error"] <= 1e-8
+
+    def test_validate_power_reuses_vanishing_term(self, monkeypatch):
+        # p_{z,1} = 0 for a function of a0 alone: N = 2 repeats N = 1
+        quantize = cli.quantize_general
+        calls = []
+
+        def counted(sym, *args, **kwargs):
+            calls.append(sym)
+            return quantize(sym, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "quantize_general", counted)
+        rep = cli.run_validate_power(24, 3, 0.5)
+        assert len(calls) == 2
+        assert rep["per_state_errors"]["2"] == rep["per_state_errors"]["1"]
 
     def test_validation_error_exit_code(self, tmp_path, points_file):
         bogus = tmp_path / "bogus.sym"

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from weylcalc.cpow import QuadratureScheme
-from weylcalc.errors import InvalidInput, InvalidParameter, NumericalFailure, UnsupportedSymbol
+from weylcalc.errors import InvalidInput, NumericalFailure, UnsupportedSymbol
 from weylcalc.fsring import canonical, sharp
 from weylcalc.quant import (
     HermiteOperator,
@@ -238,11 +237,39 @@ class TestBalakrishnan:
         with pytest.raises(NumericalFailure):
             balakrishnan_matrix(D, 0.5, 1)
 
-    def test_rejects_levels_that_do_not_nest(self):
-        # 80 / 0.3 steps: the finest grid (1067 intervals) is no 4-fold refinement
-        I = HermiteOperator.wrap(np.eye(2))
-        with pytest.raises(InvalidParameter):
-            balakrishnan_matrix(I, 0.5, 1, QuadratureScheme(step=0.3, refine=2))
+    def test_one_solve_per_node(self, monkeypatch):
+        solve = np.linalg.solve
+        calls = []
+
+        def counted(a, b):
+            calls.append(1)
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        balakrishnan_matrix(HermiteOperator.wrap(np.diag([1.0, 4.0])), 0.5, 1)
+        assert len(calls) == 201
+
+    @staticmethod
+    def _error_vs_spectral(z, k):
+        reg = plain_reg()
+        H = quantize_poly(reg.parse("1 + x1^2 + xi1^2"), 16)
+        B = balakrishnan_matrix(H, z, k)
+        S = matrix_function(H, lambda v: complex(v) ** z)
+        return spectral_compare(S, B, (0, 15)).max_error
+
+    @pytest.mark.parametrize("z", [0.05, 0.95, 0.05 + 0.5j, 0.5 + 1j, 0.5 + 2j])
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_complex_powers_vs_spectral(self, z, extra):
+        k = math.floor(complex(z).real) + 1 + extra
+        assert self._error_vs_spectral(z, k) <= 1e-12
+
+    def test_power_above_one(self):
+        assert self._error_vs_spectral(2.5, 3) <= 1e-12
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_large_imaginary_part(self, k):
+        # the trapezoid error grows about like e^(pi |Im z|)
+        assert self._error_vs_spectral(0.5 + 4j, k) <= 1e-9
 
 
 class TestSpectralCompare:

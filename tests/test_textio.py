@@ -5,10 +5,11 @@ either loaded or rejected with a WeylcalcError, never another exception."""
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylcalc.errors import WeylcalcError
+from weylcalc.errors import InvalidInput, InvalidParameter, WeylcalcError
 from weylcalc.fsring import FormalSeries
 from weylcalc.qrat import QC
 from weylcalc.quant import HermiteOperator
@@ -132,3 +133,27 @@ class TestMutatedFiles:
     @settings(max_examples=60, deadline=None)
     def test_operator_file(self, data, op):
         _loads_or_rejects(load_operator, data.draw(mutated(dump_operator(op))))
+
+
+class TestBasePowerField:
+    """The loader accepts only the base powers the algebra itself builds:
+    a capped denominator, a nonzero exponent, each base at most once."""
+
+    @staticmethod
+    def _x1_times(power: str) -> str:
+        reg = _REGISTRIES[(1, False)]
+        text = dump_symexpr(reg.var("x1") * reg.base("a"))
+        assert text.count(" : a^1/1 : ") == 1
+        return text.replace(" : a^1/1 : ", f" : {power} : ")
+
+    def test_denominator_above_cap(self):
+        with pytest.raises(InvalidParameter):
+            load_symexpr(self._x1_times("a^1/128"))
+
+    def test_zero_exponent(self):
+        with pytest.raises(InvalidInput):
+            load_symexpr(self._x1_times("a^0/1"))
+
+    def test_repeated_base(self):
+        with pytest.raises(InvalidInput):
+            load_symexpr(self._x1_times("a^1/2;a^1/2"))
