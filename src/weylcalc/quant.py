@@ -22,10 +22,8 @@ from .symalg import SymExpr
 
 HERMITICITY_TOL = 1e-10
 
-# balakrishnan_matrix's trapezoid: 201 nodes from u = ln lambda = -40 to 40
-_BALAKRISHNAN_U0 = -40.0
-_BALAKRISHNAN_STEP = 0.4
-_BALAKRISHNAN_NODES = 201
+# balakrishnan_matrix sizes its trapezoid for an error of about e^-40
+_BALAKRISHNAN_LOG_TOL = 40.0
 
 
 @dataclass
@@ -193,14 +191,18 @@ def quantize_general(
     sigma_eval,
     n_basis: int,
     grid: PolarGrid | None = None,
-) -> HermiteOperator:
+) -> HermiteOperator | list[HermiteOperator]:
     """Weyl quantization of a general symbol via the cross-Wigner pairing.
 
     A[m, n] = integral of sigma(x, xi) W_{n,m}(x, xi) dx dxi, with the
     cross-Wigner functions in their Laguerre closed form on a polar product
     grid: the angular integral reduces to Fourier modes of the symbol and
     the radial integral is Gauss-Legendre.  sigma_eval is a callable
-    sigma_eval(X, XI) -> complex array (vectorised).
+    sigma_eval(X, XI) -> complex array (vectorised).  A result of shape
+    (S,) + X.shape holds S symbols: they share one pass over the radial
+    kernel and a list of S operators is returned, each entry the same bits
+    as quantizing that symbol alone.  Any other result is broadcast to
+    X.shape and gives one operator.
     """
     if n_basis < 1:
         raise InvalidParameter("n_basis must be >= 1")
@@ -210,34 +212,37 @@ def quantize_general(
     Xv = R * np.cos(TH)
     XIv = R * np.sin(TH)
     vals = np.asarray(sigma_eval(Xv, XIv), dtype=complex)
-    if vals.shape != Xv.shape:
-        vals = np.broadcast_to(vals, Xv.shape).copy()
-    # angular modes: F[:, q] = integral sigma e^{-i q theta} d theta
-    F = np.fft.fft(vals, axis=1) * (2.0 * math.pi / grid.n_theta)
+    stacked = vals.ndim == Xv.ndim + 1 and vals.shape[1:] == Xv.shape
+    if not stacked:
+        vals = np.broadcast_to(vals, Xv.shape)[None]
+    # angular modes, stored as F[j, s] = integral sigma_s e^{-i j theta} d theta
+    # so that the radial rows of every symbol at one mode are contiguous
+    F = np.empty((grid.n_theta, len(vals), grid.n_r), dtype=complex)
+    for s, v in enumerate(vals):
+        F[:, s] = (np.fft.fft(v, axis=1) * (2.0 * math.pi / grid.n_theta)).T
 
-    two_r2 = 2.0 * R[:, 0] ** 2
+    r2 = r**2
+    two_r2 = 2.0 * r2
     log_r = np.log(np.maximum(r, 1e-300))
-    A = np.zeros((n_basis, n_basis), dtype=complex)
+    wr_r = wr * r
+    A = np.zeros((len(vals), n_basis, n_basis), dtype=complex)
     tail_flag = False
     for q in range(n_basis):
         n_top = n_basis - 1 - q
         lag = _laguerre_table(n_top, q, two_r2) if q else _laguerre_table(n_basis - 1, 0, two_r2)
-        # mode for e^{+i q theta} is F[:, -q]; for e^{-i q theta} it's F[:, +q]
-        mode_plus = F[:, (-q) % grid.n_theta]
-        mode_minus = F[:, q % grid.n_theta]
+        q_log = q * (0.5 * math.log(2.0) + log_r)
+        # mode for e^{+i q theta} is F[-q]; for e^{-i q theta} it's F[+q]
+        mode_plus = F[(-q) % grid.n_theta]
+        mode_minus = F[q % grid.n_theta]
         for n in range(0, n_basis - q):
             m = n + q
-            logpref = (
-                0.5 * (math.lgamma(n + 1) - math.lgamma(m + 1))
-                + q * (0.5 * math.log(2.0) + log_r)
-                - r**2
-            )
+            logpref = 0.5 * (math.lgamma(n + 1) - math.lgamma(m + 1)) + q_log - r2
             rad = ((-1.0) ** n / math.pi) * np.exp(logpref) * lag[n]
-            wrad = wr * r * rad
+            wrad = wr_r * rad
             # W_{n,m} carries e^{+i q theta}; W_{m,n} is its conjugate
-            A[m, n] = np.sum(wrad * mode_plus)
+            A[:, m, n] = np.sum(wrad * mode_plus, axis=-1)
             if q:
-                A[n, m] = np.sum(wrad * mode_minus)
+                A[:, n, m] = np.sum(wrad * mode_minus, axis=-1)
             # the tail test sees only the radial kernel, never sigma: it
             # flags a grid whose r_max is too small for this basis
             if not tail_flag:
@@ -250,7 +255,8 @@ def quantize_general(
             AccuracyWarning,
             stacklevel=2,
         )
-    return HermiteOperator.wrap(A)
+    ops = [HermiteOperator.wrap(a) for a in A]
+    return ops if stacked else ops[0]
 
 
 # ---------------------------------------------------------------------------
@@ -274,27 +280,36 @@ def balakrishnan_matrix(op: HermiteOperator, z: complex, k: int) -> HermiteOpera
     """gamma_k(z) * integral lambda^(z-1) (A (A + lambda)^-1)^k d lambda by
     resolvent solves at trapezoid nodes in u = ln lambda.
 
-    The rule is one trapezoid with step h = 0.4 on u in [-40, 40], weight h
-    at each of its 201 nodes (one solve each), continued past both ends by
-    exact geometric sums over the missing nodes: below u0, R(lambda)^k =
-    first + O(lambda / e_min), which adds first * h e^(z u0) q / (1 - q) with
-    q = e^(-z h); above u1, R(lambda)^k = last * (lambda1 / lambda)^k
-    * (1 + O(e_max / lambda)), which adds last * h e^(z u1) p / (1 - p) with
-    p = e^(-(k - z) h).  The integrand is analytic in the strip |Im u| < pi
-    (the resolvent's poles sit at u = ln e +- i pi for each eigenvalue e), so
-    the error is O(e^(-2 pi^2 / h)) (Trefethen and Weideman, SIAM Rev. 56,
-    2014).  It grows about like e^(pi |Im z|): 1.1e-10 at z = 0.5 + 4i."""
+    The rule is one trapezoid with weight h at each node (one solve each),
+    continued past both ends by exact geometric sums over the missing nodes:
+    below u0, R(lambda)^k = first + O(lambda / e_min), which adds
+    first * h e^(z u0) q / (1 - q) with q = e^(-z h); above u1,
+    R(lambda)^k = last * (lambda1 / lambda)^k * (1 + O(e_max / lambda)), which
+    adds last * h e^(z u1) p / (1 - p) with p = e^(-(k - z) h).  The
+    integrand is analytic in the strip |Im u| < pi (the resolvent's poles sit
+    at u = ln e +- i pi for each eigenvalue e), so the discretisation error
+    is O(e^(pi |Im z|) e^(-2 pi^2 / h)) (Trefethen and Weideman, SIAM Rev.
+    56, 2014).  The step and range are sized from the spectrum [e_min, e_max]
+    so that this error and both tail remainders are about e^-L, L = 40:
+    h = 2 pi^2 / (L + pi |Im z|), u0 = ln e_min - L / (1 + Re z) and
+    u1 = ln e_max + L / (k + 1 - Re z).  The oscillator at n = 64 and z = 1/2
+    takes 119 nodes.  The sum cancels by about e^(pi |Im z|), so rounding
+    still grows that way: 1.2e-10 at z = 0.5 + 4i.  The solves are real when
+    A is."""
     z = complex(z)
     if not op.hermitian_flag:
         raise InvalidInput("balakrishnan_matrix requires a hermitian operator")
     if not (k > z.real > 0):
         raise InvalidParameter("need 0 < Re z < k")
-    A = op.matrix
+    A = op.matrix if np.any(op.matrix.imag) else op.matrix.real
     eigs = np.linalg.eigvalsh(A)
-    if eigs.min() <= 0:
+    if eigs[0] <= 0:
         raise NumericalFailure("operator is not positive definite on its truncation")
-    h = _BALAKRISHNAN_STEP
-    u = _BALAKRISHNAN_U0 + h * np.arange(_BALAKRISHNAN_NODES)
+    L = _BALAKRISHNAN_LOG_TOL
+    h = 2.0 * math.pi**2 / (L + math.pi * abs(z.imag))
+    u0 = math.log(eigs[0]) - L / (1.0 + z.real)
+    u1 = math.log(eigs[-1]) + L / (k + 1.0 - z.real)
+    u = u0 + h * np.arange(math.ceil((u1 - u0) / h) + 1)
     eye = np.eye(A.shape[0])
     total = np.zeros(A.shape, dtype=complex)
     for i, ui in enumerate(u):

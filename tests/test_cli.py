@@ -229,13 +229,16 @@ class TestNumericCommands:
         calls = []
 
         def counted(sym, *args, **kwargs):
-            calls.append(sym)
-            return quantize(sym, *args, **kwargs)
+            out = quantize(lambda X, XI: sym(X, XI), *args, **kwargs)
+            calls.append(out)
+            return out
 
         monkeypatch.setattr(cli, "quantize_general", counted)
         rep = cli.run_validate_power(24, 3, 0.5)
-        assert len(calls) == 2
+        # one stacked call quantizes the N = 1 and N = 3 symbols
+        assert len(calls) == 1 and len(calls[0]) == 2
         assert rep["per_state_errors"]["2"] == rep["per_state_errors"]["1"]
+        assert rep["per_state_errors"]["3"] != rep["per_state_errors"]["1"]
 
     def test_validation_error_exit_code(self, tmp_path, points_file):
         bogus = tmp_path / "bogus.sym"

@@ -155,6 +155,36 @@ class TestQuantizeGeneral:
         with pytest.warns(AccuracyWarning):
             quantize_general(lambda X, XI: np.ones_like(X), 16, grid=grid)
 
+    def test_stacked_call_matches_separate_calls(self):
+        fns = (
+            lambda X, XI: np.sqrt(1.0 + X**2 + XI**2),
+            lambda X, XI: X + 1j * XI,
+            lambda X, XI: 2.5,
+        )
+
+        def stack(X, XI):
+            return np.stack([np.broadcast_to(f(X, XI), X.shape) for f in fns])
+
+        # called through a pass-through, as a tracing wrapper calls sigma_eval
+        ops = quantize_general(lambda X, XI: stack(X, XI), 12)
+        assert len(ops) == len(fns)
+        for op, f in zip(ops, fns):
+            alone = quantize_general(lambda X, XI: f(X, XI), 12)
+            assert np.array_equal(op.matrix, alone.matrix)
+            assert op.hermitian_flag == alone.hermitian_flag
+
+    def test_stacked_call_warns_once(self):
+        import warnings as _w
+
+        from weylcalc.errors import AccuracyWarning
+
+        grid = PolarGrid(n_r=64, n_theta=64, r_max=2.0)
+        with _w.catch_warnings(record=True) as caught:
+            _w.simplefilter("always")
+            ops = quantize_general(lambda X, XI: np.stack([X, XI, X * XI]), 16, grid=grid)
+        assert len(ops) == 3
+        assert sum(issubclass(w.category, AccuracyWarning) for w in caught) == 1
+
 
 class TestMatrixFunction:
     def test_identity_function(self):
@@ -239,15 +269,29 @@ class TestBalakrishnan:
 
     def test_one_solve_per_node(self, monkeypatch):
         solve = np.linalg.solve
-        calls = []
+        shifts = []
 
         def counted(a, b):
-            calls.append(1)
+            # each solve is (A + lambda I) R = A: record its lambda
+            shifts.append(float(np.mean(np.diag(a - b).real)))
             return solve(a, b)
 
+        reg = plain_reg()
+        H = quantize_poly(reg.parse("x1^2 + xi1^2"), 64)
         monkeypatch.setattr(np.linalg, "solve", counted)
-        balakrishnan_matrix(HermiteOperator.wrap(np.diag([1.0, 4.0])), 0.5, 1)
-        assert len(calls) == 201
+        balakrishnan_matrix(H, 0.5, 1)
+        # the trapezoid sized from the spectrum [1, 127]: step 2 pi^2 / 40
+        # from ln 1 - 40 / 1.5 to past ln 127 + 40 / 1.5
+        h = 2.0 * math.pi**2 / 40.0
+        u1 = math.log(127.0) + 40.0 / 1.5
+        assert len(shifts) == math.ceil((u1 + 40.0 / 1.5) / h) + 1
+        assert len(shifts) < 201
+        # lambda is recovered to about 1e-14 absolute, so check the spacing
+        # where that is precise
+        u = np.log(shifts)
+        assert np.all(np.diff(shifts) > 0)
+        assert np.max(np.abs(np.diff(u[u > 0]) - h)) <= 1e-9
+        assert u1 <= u[-1] < u1 + h
 
     @staticmethod
     def _error_vs_spectral(z, k):
@@ -268,8 +312,19 @@ class TestBalakrishnan:
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_large_imaginary_part(self, k):
-        # the trapezoid error grows about like e^(pi |Im z|)
+        # the sum cancels by about e^(pi |Im z|), so rounding grows that way
         assert self._error_vs_spectral(0.5 + 4j, k) <= 1e-9
+
+    @pytest.mark.parametrize("z", [0.5, 0.5 + 1j])
+    def test_complex_hermitian_operator(self, z):
+        # x xi quantizes to a matrix with imaginary entries, so the solves
+        # run in complex arithmetic
+        reg = plain_reg()
+        H = quantize_poly(reg.parse("1 + x1^2 + xi1^2 + 1/2*x1*xi1"), 32)
+        assert H.hermitian_flag and np.any(H.matrix.imag)
+        B = balakrishnan_matrix(H, z, 1)
+        S = matrix_function(H, lambda v: complex(v) ** z)
+        assert np.max(np.abs(B.matrix - S.matrix)) <= 1e-12
 
 
 class TestSpectralCompare:
